@@ -150,6 +150,21 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
       "(%.1f dh/wall-s) | peak RSS %.1f MiB\n",
       mode.c_str(), result.runs, result.jobs, wall, device_hours,
       dh_per_wall_s, maxrss_mib(ru));
+  // How long submits held the sink lock: the serialized share of the
+  // sharded path (wall-clock profile, never part of the artifacts).
+  double lock_total_s = 0;
+  if (const auto* hold = campaign.last_profile().find_histogram(
+          "prof.shard.commit_lock_wall")) {
+    lock_total_s = static_cast<double>(hold->sum) / 1e6;
+    std::printf(
+        "fleet/%s: sink lock held %.3fs over %llu submits (%.1f%% of wall; "
+        "p50 %.0fus, p99 %.0fus)\n",
+        mode.c_str(), lock_total_s,
+        static_cast<unsigned long long>(hold->count),
+        wall > 0 ? 100 * lock_total_s / wall : 0,
+        obs::histogram_quantile(*hold, 0.50) * 1e6,
+        obs::histogram_quantile(*hold, 0.99) * 1e6);
+  }
   if (!opt.bench_json.empty()) {
     bench::write_bench_json(
         opt.bench_json, "fleet/" + mode,
@@ -160,7 +175,8 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
          {"device_hours_per_wall_s", dh_per_wall_s},
          {"min_dh_per_wall_s", opt.min_dh_per_wall_s},
          {"failed_runs", static_cast<double>(result.failed_runs())},
-         {"peak_rss_mib", maxrss_mib(ru)}});
+         {"peak_rss_mib", maxrss_mib(ru)},
+         {"commit_lock_s", lock_total_s}});
   }
   if (opt.min_dh_per_wall_s > 0 && dh_per_wall_s < opt.min_dh_per_wall_s) {
     std::fprintf(stderr,

@@ -412,7 +412,8 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
       parsed = p.skip_value();
     }
     if (!parsed) {
-      return fail("cell spec: malformed value for \"" + key + "\"");
+      return fail("cell spec: malformed value for \"" + key + "\" at byte " +
+                  std::to_string(p.offset()));
     }
   }
   if (!one_of(out->network, {"3g", "3g-simplified", "lte"})) {

@@ -331,6 +331,7 @@ CampaignResult Campaign::run(const RunFn& fn) {
   last_profile_.set_gauge("prof.campaign.jobs", static_cast<double>(jobs));
 
   if (sharded) {
+    last_profile_.merge_from(sink->profile());
     sink->finalize();  // throws on shard I/O failure — don't mask it
     sink->fold_into(&out, cfg_.trace);
     return out;

@@ -322,7 +322,9 @@ class Campaign {
   double last_wall_seconds() const { return last_wall_seconds_; }
 
   // Wall-clock profile of the most recent run() (`prof.campaign.*`
-  // histograms: queue-wait, per-run wall time, retry backoff). Like
+  // histograms: queue-wait, per-run wall time, retry backoff; sharded runs
+  // add `prof.shard.commit_lock_wall`, the time each submit held the sink
+  // lock — see ShardedCampaignSink::profile). Like
   // last_wall_seconds(), kept OUT of CampaignResult so deterministic
   // artifacts never see the wall clock.
   const obs::MetricsRegistry& last_profile() const { return last_profile_; }

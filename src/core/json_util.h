@@ -9,15 +9,77 @@
 #pragma once
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace qoed::core {
+
+// std::strtod over `text` that never reads past its end, so a view into a
+// larger buffer (or one with no terminator at all) parses exactly as strtod
+// would parse the view's bytes on their own. Leading whitespace, signs,
+// exponents, hex floats, "inf" and "nan" are accepted as strtod accepts
+// them. Returns the number of bytes consumed (0 = no number) and stores the
+// value in *out.
+//
+// strtod skips leading whitespace and then never consumes a byte outside
+// [0-9A-Za-z+-._()], so that run is all of the view it can see. A plain
+// decimal run ([-]digit...) goes through std::from_chars, which reads it to
+// the same correctly rounded value and length as strtod, several times
+// faster; every other run, and any run from_chars rejects (out of range),
+// is handed to strtod on a NUL-terminated copy.
+inline std::size_t bounded_strtod(std::string_view text, double* out) {
+  std::size_t ws = 0;
+  while (ws < text.size() &&
+         std::isspace(static_cast<unsigned char>(text[ws]))) {
+    ++ws;
+  }
+  std::size_t end = ws;
+  while (end < text.size()) {
+    const char c = text[end];
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '+' &&
+        c != '-' && c != '.' && c != '_' && c != '(' && c != ')') {
+      break;
+    }
+    ++end;
+  }
+  const std::string_view run = text.substr(ws, end - ws);
+  const std::size_t sign = !run.empty() && run[0] == '-' ? 1 : 0;
+  const bool plain = run.size() > sign && run[sign] >= '0' &&
+                     run[sign] <= '9' &&
+                     !(run[sign] == '0' && run.size() > sign + 1 &&
+                       (run[sign + 1] == 'x' || run[sign + 1] == 'X'));
+  double v = 0;
+  if (plain) {
+    const auto [ptr, ec] =
+        std::from_chars(run.data(), run.data() + run.size(), v);
+    if (ec == std::errc()) {
+      *out = v;
+      return ws + static_cast<std::size_t>(ptr - run.data());
+    }
+  }
+  char buf[64];
+  std::string long_run;
+  const char* str = buf;
+  if (run.size() < sizeof(buf)) {
+    std::memcpy(buf, run.data(), run.size());
+    buf[run.size()] = '\0';
+  } else {
+    long_run.assign(run);
+    str = long_run.c_str();
+  }
+  char* stop = nullptr;
+  *out = std::strtod(str, &stop);
+  const auto used = static_cast<std::size_t>(stop - str);
+  return used == 0 ? 0 : ws + used;
+}
 
 inline void put_json_number(std::ostream& os, double v) {
   char buf[40];
@@ -154,27 +216,39 @@ class JsonLiteParser {
 
   bool read_number(double* out) {
     skip_ws();
-    const char* start = text_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
+    double v = 0;
+    const std::size_t used = bounded_strtod(text_.substr(pos_), &v);
+    if (used == 0) return false;
+    pos_ += used;
     *out = v;
     return true;
   }
 
   // Exact unsigned-64 parse; use for seeds/ids, which exceed the 2^53
-  // mantissa a double round-trips.
+  // mantissa a double round-trips. Plain decimal digits only: a sign, or a
+  // value above 2^64-1, is rejected (never wrapped), with the cursor left
+  // at the offending number so offset() locates it.
   bool read_uint64(std::uint64_t* out) {
     skip_ws();
-    const char* start = text_.data() + pos_;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(start, &end, 10);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    *out = static_cast<std::uint64_t>(v);
+    std::size_t i = pos_;
+    std::uint64_t v = 0;
+    for (; i < text_.size() && text_[i] >= '0' && text_[i] <= '9'; ++i) {
+      const auto digit = static_cast<std::uint64_t>(text_[i] - '0');
+      if (v > (UINT64_MAX - digit) / 10) return false;  // overflow
+      v = v * 10 + digit;
+    }
+    if (i == pos_) return false;
+    pos_ = i;
+    *out = v;
     return true;
   }
+
+  // Byte offset of the cursor: after a failed read, where the offending
+  // value starts — the location malformed-input errors report.
+  std::size_t offset() const { return pos_; }
+  // Containers entered and not yet closed. next_key/array_next return false
+  // both at a close and on malformed input; only a close lowers the depth.
+  std::size_t depth() const { return stack_.size(); }
 
   bool read_bool(bool* out) {
     skip_ws();

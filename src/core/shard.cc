@@ -1,6 +1,7 @@
 #include "core/shard.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/json_util.h"
+#include "core/timeline_merge.h"
 
 namespace qoed::core {
 
@@ -44,7 +46,7 @@ bool write_file_atomic(const std::string& path, const std::string& content) {
 
 bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
                          std::string* error) {
-  const auto fail = [error](const char* msg) {
+  const auto fail = [error](const std::string& msg) {
     if (error) *error = msg;
     return false;
   };
@@ -57,8 +59,10 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
   if (!p.enter_object()) return fail("manifest: expected object");
   *out = ShardManifest{};
   std::string key;
+  std::string skey;
   while (p.next_key(&key)) {
     bool parsed = true;
+    skey.clear();
     if (key == "campaign") {
       parsed = p.read_string(&out->campaign);
     } else if (key == "master_seed") {
@@ -70,11 +74,13 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
     } else if (key == "complete") {
       parsed = p.read_bool(&out->complete);
     } else if (key == "shards") {
+      // next_key/array_next also return false on malformed input, so the
+      // container depth tells a clean close from a parse failure.
       parsed = p.enter_array();
       while (parsed && p.array_next()) {
+        skey.clear();
         parsed = p.enter_object();
         ShardInfo info;
-        std::string skey;
         while (parsed && p.next_key(&skey)) {
           std::uint64_t v = 0;
           parsed = p.read_uint64(&v);
@@ -86,12 +92,22 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
             info.run_end = static_cast<std::size_t>(v);
           }
         }
+        parsed = parsed && p.depth() == 2;
         out->shards.push_back(info);
       }
+      parsed = parsed && p.depth() == 1;
     } else {
       parsed = p.skip_value();
     }
-    if (!parsed) return fail("manifest: malformed value");
+    if (!parsed) {
+      const std::string field = skey.empty() ? key : key + "." + skey;
+      return fail("manifest: malformed value for \"" + field + "\" at byte " +
+                  std::to_string(p.offset()));
+    }
+  }
+  if (p.depth() != 0) {
+    return fail("manifest: malformed object at byte " +
+                std::to_string(p.offset()));
   }
   return true;
 }
@@ -115,6 +131,13 @@ void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
     }
     out->push_back('\n');
   }
+}
+
+std::string stamp_timeline(std::size_t run_index,
+                           std::string_view timeline_jsonl) {
+  return stamp_and_sort_timeline("run-" + std::to_string(run_index),
+                                 timeline_jsonl)
+      .jsonl;
 }
 
 std::string encode_metrics_line(std::size_t run_index,
@@ -187,7 +210,14 @@ ShardedCampaignSink::ShardedCampaignSink(const CampaignShardConfig& cfg,
     throw std::runtime_error("shard: cannot create out dir " + cfg_.out_dir);
   }
   ShardManifest existing;
-  if (cfg_.resume && read_shard_manifest(cfg_.out_dir, &existing)) {
+  const bool resuming = cfg_.resume && fs::exists(manifest_path(cfg_.out_dir));
+  std::string manifest_error;
+  if (resuming &&
+      !read_shard_manifest(cfg_.out_dir, &existing, &manifest_error)) {
+    throw std::runtime_error("shard resume: " + manifest_path(cfg_.out_dir) +
+                             ": " + manifest_error);
+  }
+  if (resuming) {
     if (existing.campaign != manifest_.campaign ||
         existing.master_seed != manifest_.master_seed ||
         (planned_runs > 0 && existing.runs != planned_runs)) {
@@ -234,13 +264,30 @@ std::string ShardedCampaignSink::pending_path(std::size_t run_index) const {
 }
 
 void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
-  // Serialization happens on the worker, outside the lock.
+  // Serialization and the per-byte timeline work (stamping every line with
+  // the run label and sorting) happen on the worker, outside the lock.
   std::string metrics_line = encode_metrics_line(run_index, ex);
   std::string findings = std::move(ex.result.artifacts.findings_jsonl);
-  std::string timeline = std::move(ex.result.artifacts.timeline_jsonl);
   std::string captures = std::move(ex.result.artifacts.captures_jsonl);
+  std::string timeline;
+  {
+    const std::string raw = std::move(ex.result.artifacts.timeline_jsonl);
+    if (!cfg_.out_dir.empty()) timeline = stamp_timeline(run_index, raw);
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
+  // Destroyed before `lock`, so it times the whole hold.
+  struct HoldTimer {
+    obs::MetricsRegistry& profile;
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+    ~HoldTimer() {
+      profile.observe("prof.shard.commit_lock_wall",
+                      std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    }
+  } hold{profile_};
   if (run_index < frontier_) return;  // resume overlap; already durable
   if (run_index != frontier_) {
     Pending p;
@@ -307,9 +354,13 @@ void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
 }
 
 bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
-                                            ParsedOutcome* out) {
+                                            ParsedOutcome* out,
+                                            std::string* error) {
   JsonLiteParser p(line);
-  if (!p.enter_object()) return false;
+  if (!p.enter_object()) {
+    *error = "expected an object at byte " + std::to_string(p.offset());
+    return false;
+  }
   std::string key;
   std::uint64_t u = 0;
   while (p.next_key(&key)) {
@@ -382,7 +433,15 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
     } else {
       parsed = p.skip_value();
     }
-    if (!parsed) return false;
+    if (!parsed) {
+      *error = "malformed value for \"" + key + "\" at byte " +
+               std::to_string(p.offset());
+      return false;
+    }
+  }
+  if (p.depth() != 0) {
+    *error = "malformed object at byte " + std::to_string(p.offset());
+    return false;
   }
   return true;
 }
@@ -393,12 +452,13 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
                                         std::string&& timeline,
                                         std::string&& captures) {
   ParsedOutcome po;
-  if (!fold_metrics_line(metrics_line, &po)) {
+  std::string error;
+  if (!fold_metrics_line(metrics_line, &po, &error)) {
     po = ParsedOutcome{};
     po.run = run_index;
     po.attempts = 1;
     po.ok = false;
-    po.error = "shard: malformed metrics line";
+    po.error = "shard: malformed metrics line: " + error;
   }
   if (meta_.size() <= run_index) meta_.resize(run_index + 1);
   RunMeta& m = meta_[run_index];
@@ -431,10 +491,9 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
     c.registry_json = po.registry;
     hook_(c);
   }
-  if (!cfg_.out_dir.empty()) {
+  if (!timeline.empty()) {
     timeline_bytes_ += timeline.size();
-    timeline_entries_.push_back(
-        {"run-" + std::to_string(run_index), std::move(timeline)});
+    timeline_runs_.push_back(std::move(timeline));
   }
   ++frontier_;
 
@@ -456,11 +515,21 @@ void ShardedCampaignSink::close_shard_locked() {
   }
   if (!io_error_.empty()) return;  // don't extend a broken prefix
   const std::size_t index = manifest_.shards.size();
+  // The runs arrive stamped and sorted; one run is already the shard's
+  // timeline, several are k-way merged.
+  std::string timeline;
+  if (timeline_runs_.size() == 1) {
+    timeline = std::move(timeline_runs_.front());
+  } else if (timeline_runs_.size() > 1) {
+    merge_stamped_timelines(
+        std::vector<std::string_view>(timeline_runs_.begin(),
+                                      timeline_runs_.end()),
+        &timeline);
+  }
   // Artifacts first, manifest last: a crash in between leaves unlisted
   // files that the next resume simply overwrites.
   if (!write_file_atomic(shard_path("findings", index), findings_buf_) ||
-      !write_file_atomic(shard_path("timeline", index),
-                         merge_timelines(timeline_entries_)) ||
+      !write_file_atomic(shard_path("timeline", index), timeline) ||
       !write_file_atomic(shard_path("metrics", index), metrics_buf_) ||
       !write_file_atomic(shard_path("captures", index), captures_buf_)) {
     io_error_ = "shard: cannot write shard " + std::to_string(index) +
@@ -472,7 +541,7 @@ void ShardedCampaignSink::close_shard_locked() {
   findings_buf_.clear();
   metrics_buf_.clear();
   captures_buf_.clear();
-  timeline_entries_.clear();
+  timeline_runs_.clear();
   timeline_bytes_ = 0;
   shard_run_begin_ = frontier_;
 }
@@ -506,12 +575,22 @@ void ShardedCampaignSink::replay_closed_shards() {
                                " but it cannot be read");
     }
     std::string line;
-    while (std::getline(in, line)) {
+    std::string error;
+    for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
       if (line.empty()) continue;
+      const std::string where =
+          shard_path("metrics", info.index) + ":" + std::to_string(line_no);
       ParsedOutcome po;
-      if (!fold_metrics_line(line, &po)) {
-        throw std::runtime_error("shard resume: malformed metrics line in " +
-                                 shard_path("metrics", info.index));
+      if (!fold_metrics_line(line, &po, &error)) {
+        throw std::runtime_error("shard resume: " + where + ": " + error);
+      }
+      // The manifest says which runs this shard holds; a run outside that
+      // range is corruption, not a reason to grow the metadata table.
+      if (po.run < info.run_begin || po.run >= info.run_end) {
+        throw std::runtime_error(
+            "shard resume: " + where + ": run " + std::to_string(po.run) +
+            " outside the shard's range [" + std::to_string(info.run_begin) +
+            ", " + std::to_string(info.run_end) + ")");
       }
       if (meta_.size() <= po.run) meta_.resize(po.run + 1);
       RunMeta& m = meta_[po.run];
@@ -526,6 +605,11 @@ void ShardedCampaignSink::replay_closed_shards() {
       if (!po.ok) ++quarantined_;
     }
   }
+}
+
+obs::MetricsRegistry ShardedCampaignSink::profile() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return profile_;
 }
 
 void ShardedCampaignSink::finalize() {
@@ -781,14 +865,16 @@ void CampaignCapturesSink::write(std::ostream& os) const {
 }
 
 void CampaignTimelineSink::write(std::ostream& os) const {
-  std::vector<DeviceTimeline> inputs;
-  inputs.reserve(result_->run_artifacts.size());
+  // The sharded path's two steps, without the shards in between.
+  std::vector<std::string> runs;
+  runs.reserve(result_->run_artifacts.size());
   for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    if (result_->run_artifacts[i].timeline_jsonl.empty()) continue;
-    inputs.push_back({"run-" + std::to_string(i),
-                      result_->run_artifacts[i].timeline_jsonl});
+    runs.push_back(stamp_timeline(i, result_->run_artifacts[i].timeline_jsonl));
   }
-  os << merge_timelines(inputs);
+  std::string merged;
+  merge_stamped_timelines(
+      std::vector<std::string_view>(runs.begin(), runs.end()), &merged);
+  os << merged;
 }
 
 }  // namespace qoed::core

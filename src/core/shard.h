@@ -15,11 +15,23 @@
 //   metrics.json    = index-ordered fold of the per-run registry snapshots
 //                     (obs::MetricsRegistry::merge_from_json)
 //
+// Where the timeline work happens: submit() stamps each line of the run's
+// timeline with its "run-N" label and stable-sorts it by (t, seq) on the
+// calling worker, before it takes the sink lock (stamp_timeline). The lock
+// covers only commit ordering (and spilling out-of-order payloads), the
+// O(1)-per-run folds, and closing a shard: a shard holding one run writes
+// that run's bytes as they are, a shard holding several k-way merges them
+// (core::merge_stamped_timelines). prof.shard.commit_lock_wall in the
+// sink's profile() records how long each submit held the lock.
+//
 // Determinism: runs are committed strictly in run-index order regardless of
 // worker completion order (out-of-order payloads spill to pending files, so
 // memory stays O(shard budget)); every fold happens at commit from the
 // serialized line bytes, and %.17g doubles round-trip exactly — so the
 // merged artifacts are byte-identical to the in-memory path at any --jobs.
+// The timeline merge is one stable per-run sort plus k-way merges by a key
+// that is total across runs, so its bytes do not depend on how runs are
+// grouped into shards either.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +45,6 @@
 
 #include "core/campaign.h"
 #include "core/export_sink.h"
-#include "core/timeline_merge.h"
 #include "obs/metrics.h"
 
 namespace qoed::core {
@@ -75,6 +86,13 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
 // byte-comparable.
 void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
                     std::string* out);
+
+// Stamps one run's raw timeline with its "run-N" label and stable-sorts it
+// by (t, seq) (core::stamp_and_sort_timeline), dropping malformed lines —
+// the per-run half of the timeline merge, shared by the sharded and the
+// in-memory path.
+std::string stamp_timeline(std::size_t run_index,
+                           std::string_view timeline_jsonl);
 
 // One metrics-shard line: the run's identity, outcome, samples, counters
 // and registry snapshot. This line is the unit of both the aggregate fold
@@ -146,6 +164,11 @@ class ShardedCampaignSink {
 
   const ShardManifest& manifest() const { return manifest_; }
 
+  // Wall-clock profile (prof.* family, never the deterministic registry):
+  // the prof.shard.commit_lock_wall histogram, one observation per submit.
+  // Thread-safe.
+  obs::MetricsRegistry profile() const;
+
  private:
   struct RunMeta {
     std::uint32_t attempts = 0;
@@ -180,7 +203,10 @@ class ShardedCampaignSink {
     std::string metrics, findings, timeline, captures;
   };
 
-  bool fold_metrics_line(std::string_view line, ParsedOutcome* out);
+  // Folds one metrics line into the aggregates; on malformed input returns
+  // false with *error naming the field and byte offset.
+  bool fold_metrics_line(std::string_view line, ParsedOutcome* out,
+                         std::string* error);
   void commit_locked(std::size_t run_index, const std::string& metrics_line,
                      std::string&& findings, std::string&& timeline,
                      std::string&& captures);
@@ -202,7 +228,7 @@ class ShardedCampaignSink {
 
   // Open-shard buffers (bounded by the rotation budget).
   std::string findings_buf_, metrics_buf_, captures_buf_;
-  std::vector<DeviceTimeline> timeline_entries_;
+  std::vector<std::string> timeline_runs_;  // stamp_timeline output per run
   std::size_t timeline_bytes_ = 0;
   std::size_t shard_run_begin_ = 0;
 
@@ -215,6 +241,8 @@ class ShardedCampaignSink {
   std::size_t total_attempts_ = 0;
   std::size_t total_reschedules_ = 0;
   std::size_t quarantined_ = 0;
+
+  obs::MetricsRegistry profile_;
 };
 
 // ---- merged-artifact sinks over a shard directory ----

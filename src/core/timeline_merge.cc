@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <istream>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <tuple>
 
@@ -18,26 +16,25 @@ namespace qoed::core {
 
 namespace {
 
-struct MergeLine {
-  double t = 0;
-  const std::string* device = nullptr;
-  std::uint64_t seq = 0;
-  std::string_view body;  // the line, without its opening '{'
-};
+// Offset just past the first `"key":` in the line, or npos. Only a whole
+// quoted key matches: "dt": is not a match for "t":.
+std::size_t value_offset(std::string_view line, std::string_view key) {
+  for (std::size_t p = line.find(key, 1); p != std::string_view::npos;
+       p = line.find(key, p + 1)) {
+    const std::size_t end = p + key.size();
+    if (line[p - 1] == '"' && line.substr(end, 2) == "\":") return end + 2;
+  }
+  return std::string_view::npos;
+}
 
 // Value of a top-level numeric field, parsed from the raw JSON text.
 // Sets *ok to whether the key exists and holds a finite number.
 double field_number(std::string_view line, std::string_view key, bool* ok) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    if (ok != nullptr) *ok = false;
-    return 0;
-  }
-  const char* start = line.data() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (ok != nullptr) *ok = end != start && std::isfinite(v);
+  const std::size_t pos = value_offset(line, key);
+  double v = 0;
+  const bool parsed =
+      pos != std::string_view::npos && bounded_strtod(line.substr(pos), &v) > 0;
+  if (ok != nullptr) *ok = parsed && std::isfinite(v);
   return (ok == nullptr || *ok) ? v : 0;
 }
 
@@ -46,122 +43,197 @@ double field_number(std::string_view line, std::string_view key, bool* ok) {
 // stamped-line format, where "device" is always the first member.
 bool field_string(std::string_view line, std::string_view key,
                   std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
+  const std::size_t pos = value_offset(line, key);
   if (pos == std::string_view::npos) return false;
-  JsonLiteParser p(line.substr(pos + needle.size()));
+  JsonLiteParser p(line.substr(pos));
   return p.read_string(out);
 }
 
-struct StreamHead {
+// The seq tie-break key: a missing, negative or NaN seq sorts as 0, one
+// past 2^64 - 1 as 2^64 - 1.
+std::uint64_t seq_key(std::string_view line) {
+  const double v = field_number(line, "seq", nullptr);
+  if (!(v > 0)) return 0;
+  if (v >= 18446744073709551616.0) return UINT64_MAX;
+  return static_cast<std::uint64_t>(v);
+}
+
+// Merge key and text of the line an input currently offers.
+struct Head {
   double t = 0;
-  std::string device;
+  std::string device;  // reused from line to line
   std::uint64_t seq = 0;
-  std::size_t src = 0;
-  std::string line;
+  std::string_view line;
 };
 
-struct HeadGreater {
-  bool operator()(const StreamHead& a, const StreamHead& b) const {
-    return std::tie(a.t, a.device, a.seq, a.src) >
-           std::tie(b.t, b.device, b.seq, b.src);
-  }
-};
+// Fills *h from a stamped line; false when the line has no finite "t" or
+// no "device" string (such lines are dropped).
+bool parse_head(std::string_view line, Head* h) {
+  if (line.empty()) return false;
+  bool t_ok = false;
+  h->t = field_number(line, "t", &t_ok);
+  if (!t_ok || !field_string(line, "device", &h->device)) return false;
+  h->seq = seq_key(line);
+  h->line = line;
+  return true;
+}
 
-// Pulls the next usable line from one input into *out; false at EOF.
-bool read_head(std::istream& in, std::size_t src, StreamHead* out) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    bool t_ok = false;
-    const double t = field_number(line, "t", &t_ok);
-    if (!t_ok) continue;
-    if (!field_string(line, "device", &out->device)) continue;
-    out->t = t;
-    out->seq = static_cast<std::uint64_t>(field_number(line, "seq", nullptr));
-    out->src = src;
-    out->line = std::move(line);
-    return true;
+// k-way merge of n stamped, sorted inputs by (t, device, seq, input index).
+// next(i, &line) yields input i's next line, false at its end; the view must
+// stay valid until next is called for input i again. emit(line) writes one
+// merged line. Returns the number of lines emitted.
+template <typename Next, typename Emit>
+std::size_t kway_merge(std::size_t n, Next&& next, Emit&& emit) {
+  std::vector<Head> heads(n);
+  const auto advance = [&](std::size_t i) {
+    std::string_view line;
+    while (next(i, &line)) {
+      if (parse_head(line, &heads[i])) return true;
+    }
+    return false;
+  };
+  // std heap algorithms build a max-heap; ordering by "later" puts the
+  // earliest head on top.
+  const auto later = [&heads](std::size_t a, std::size_t b) {
+    const Head& x = heads[a];
+    const Head& y = heads[b];
+    return std::tie(x.t, x.device, x.seq, a) >
+           std::tie(y.t, y.device, y.seq, b);
+  };
+  std::vector<std::size_t> heap;
+  heap.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (advance(i)) heap.push_back(i);
   }
-  return false;
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::size_t written = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t i = heap.back();
+    emit(heads[i].line);
+    ++written;
+    if (advance(i)) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return written;
 }
 
 }  // namespace
 
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out) {
-  std::priority_queue<StreamHead, std::vector<StreamHead>, HeadGreater> heap;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    StreamHead head;
-    if (inputs[i] != nullptr && read_head(*inputs[i], i, &head)) {
-      heap.push(std::move(head));
+  std::vector<std::string> buffers(inputs.size());
+  return kway_merge(
+      inputs.size(),
+      [&](std::size_t i, std::string_view* line) {
+        if (inputs[i] == nullptr || !std::getline(*inputs[i], buffers[i])) {
+          return false;
+        }
+        *line = buffers[i];
+        return true;
+      },
+      [&out](std::string_view line) {
+        out.write(line.data(), static_cast<std::streamsize>(line.size()));
+        out.put('\n');
+      });
+}
+
+void merge_stamped_timelines(const std::vector<std::string_view>& inputs,
+                             std::string* out) {
+  std::vector<std::string_view> rest = inputs;
+  std::size_t bytes = out->size();
+  for (const std::string_view in : inputs) bytes += in.size();
+  out->reserve(bytes);
+  kway_merge(
+      rest.size(),
+      [&rest](std::size_t i, std::string_view* line) {
+        if (rest[i].empty()) return false;
+        const auto nl = rest[i].find('\n');
+        *line = rest[i].substr(0, nl);
+        rest[i] = nl == std::string_view::npos ? std::string_view{}
+                                               : rest[i].substr(nl + 1);
+        return true;
+      },
+      [out](std::string_view line) {
+        out->append(line);
+        out->push_back('\n');
+      });
+}
+
+StampedTimeline stamp_and_sort_timeline(std::string_view device,
+                                        std::string_view jsonl) {
+  struct Line {
+    double t = 0;
+    std::uint64_t seq = 0;
+    std::string_view body;  // the line, without its opening '{'
+  };
+  const auto before = [](const Line& a, const Line& b) {
+    return std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
+  };
+  StampedTimeline out;
+  TimelineMergeStats& stats = out.stats;
+  stats.device = std::string(device);
+  std::vector<Line> lines;
+  std::size_t body_bytes = 0;
+  bool sorted = true;
+  double prev_t = 0;
+  bool have_prev = false;
+  std::string_view rest = jsonl;
+  while (!rest.empty()) {
+    const auto nl = rest.find('\n');
+    const std::string_view line = rest.substr(0, nl);
+    rest = nl == std::string_view::npos ? std::string_view{}
+                                        : rest.substr(nl + 1);
+    if (line.empty()) continue;  // blank lines are not corruption
+    ++stats.lines;
+    // Quarantine rules: a usable line is a JSON object (braces on both
+    // ends) carrying a finite "t". Anything else is counted, not merged.
+    bool t_ok = false;
+    const double t = field_number(line, "t", &t_ok);
+    if (line.front() != '{' || line.back() != '}' || !t_ok) {
+      ++stats.malformed;
+      continue;
     }
+    if (have_prev && t < prev_t) ++stats.out_of_order;
+    prev_t = std::max(prev_t, t);
+    have_prev = true;
+    const Line m{t, seq_key(line), line.substr(1)};
+    if (!lines.empty() && before(m, lines.back())) sorted = false;
+    body_bytes += m.body.size();
+    lines.push_back(m);
   }
-  std::size_t written = 0;
-  while (!heap.empty()) {
-    const StreamHead top = heap.top();
-    heap.pop();
-    out << top.line << '\n';
-    ++written;
-    StreamHead next;
-    if (read_head(*inputs[top.src], top.src, &next)) {
-      heap.push(std::move(next));
-    }
+  if (!sorted) std::stable_sort(lines.begin(), lines.end(), before);
+
+  std::ostringstream label;
+  put_json_string(label, stats.device);
+  const std::string stamp = "{\"device\":" + label.str();
+  out.jsonl.reserve(body_bytes + lines.size() * (stamp.size() + 2));
+  for (const Line& m : lines) {
+    out.jsonl += stamp;
+    if (m.body != "}") out.jsonl += ',';
+    out.jsonl += m.body;
+    out.jsonl += '\n';
   }
-  return written;
+  return out;
 }
 
 TimelineMergeResult merge_timelines_checked(
     const std::vector<DeviceTimeline>& inputs) {
-  TimelineMergeResult result;
-  result.inputs.reserve(inputs.size());
-  std::vector<MergeLine> lines;
+  std::vector<StampedTimeline> stamped;
+  stamped.reserve(inputs.size());
   for (const DeviceTimeline& input : inputs) {
-    TimelineMergeStats stats;
-    stats.device = input.device;
-    double prev_t = 0;
-    bool have_prev = false;
-    std::string_view rest = input.jsonl;
-    while (!rest.empty()) {
-      const auto nl = rest.find('\n');
-      std::string_view line = rest.substr(0, nl);
-      rest = nl == std::string_view::npos ? std::string_view{}
-                                          : rest.substr(nl + 1);
-      if (line.empty()) continue;  // blank lines are not corruption
-      ++stats.lines;
-      // Quarantine rules: a usable line is a JSON object (braces on both
-      // ends) carrying a finite "t". Anything else is counted, not merged.
-      bool t_ok = false;
-      const double t = field_number(line, "t", &t_ok);
-      if (line.front() != '{' || line.back() != '}' || !t_ok) {
-        ++stats.malformed;
-        continue;
-      }
-      if (have_prev && t < prev_t) ++stats.out_of_order;
-      prev_t = std::max(prev_t, t);
-      have_prev = true;
-      MergeLine m;
-      m.t = t;
-      m.device = &input.device;
-      m.seq = static_cast<std::uint64_t>(field_number(line, "seq", nullptr));
-      m.body = line.substr(1);
-      lines.push_back(m);
-    }
-    result.inputs.push_back(std::move(stats));
+    stamped.push_back(stamp_and_sort_timeline(input.device, input.jsonl));
   }
-  std::stable_sort(lines.begin(), lines.end(),
-                   [](const MergeLine& a, const MergeLine& b) {
-                     return std::tie(a.t, *a.device, a.seq) <
-                            std::tie(b.t, *b.device, b.seq);
-                   });
-  std::ostringstream os;
-  for (const MergeLine& m : lines) {
-    os << "{\"device\":";
-    put_json_string(os, *m.device);
-    if (m.body != "}") os << ',';
-    os << m.body << '\n';
-  }
-  result.jsonl = os.str();
+  std::vector<std::string_view> views;
+  views.reserve(stamped.size());
+  for (const StampedTimeline& s : stamped) views.push_back(s.jsonl);
+  TimelineMergeResult result;
+  merge_stamped_timelines(views, &result.jsonl);
+  result.inputs.reserve(stamped.size());
+  for (StampedTimeline& s : stamped) result.inputs.push_back(std::move(s.stats));
   return result;
 }
 

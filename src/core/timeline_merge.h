@@ -11,12 +11,33 @@
 // order yields byte-identical output (determinism test in
 // timeline_merge_test).
 //
+// Every merge in the repository is the same two steps:
+//   1. stamp_and_sort_timeline, per input: stamp each line with the
+//      input's label and stable-sort by (t, seq). Inputs are independent,
+//      so this runs wherever the input is produced (the sharded campaign
+//      does it on the worker, before taking its commit lock).
+//   2. a k-way merge of the stamped inputs by (t, device, seq), ties broken
+//      by input position: merge_stamped_timelines in memory,
+//      merge_sorted_timeline_streams over files.
+// A stable per-input sort plus a position-tiebroken k-way merge orders
+// lines exactly as one stable sort over the concatenated inputs would, so
+// the result does not depend on how inputs are grouped before merging —
+// the property that makes sharded timelines byte-identical to in-memory
+// ones at any shard size.
+//
 // Robustness: real exports get truncated by crashes and corrupted in
-// transit. merge_timelines_checked quarantines malformed lines (not a JSON
-// object, or no finite "t" field) instead of merging garbage, counts them
-// per input, and flags out-of-order timestamps within an input (still
-// merged — the sort repairs them — but a symptom worth surfacing). The
-// plain merge_timelines wrapper keeps the original drop-silently contract.
+// transit. Step 1 quarantines malformed lines (not a JSON object, or no
+// finite "t" field) instead of merging garbage, counts them per input, and
+// flags out-of-order timestamps within an input (still merged — the sort
+// repairs them — but a symptom worth surfacing). merge_timelines_checked
+// reports those counts; the plain merge_timelines wrapper keeps the
+// original drop-silently contract.
+//
+// Field parsing works on the raw line text: a key matches only as a whole
+// quoted key ("dt": never matches "t":), numbers are read exactly as
+// std::strtod reads them (whitespace after the colon, exponents and -0 are
+// accepted; 1e400, inf and nan are not finite and so not usable), and no
+// parse reads past the end of its line.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +72,23 @@ struct TimelineMergeResult {
   }
 };
 
+// One input after step 1: every usable line stamped with the input's label
+// ({"device":<label>,...}), stably sorted by (t, seq), '\n'-terminated.
+struct StampedTimeline {
+  std::string jsonl;
+  TimelineMergeStats stats;
+};
+
+StampedTimeline stamp_and_sort_timeline(std::string_view device,
+                                        std::string_view jsonl);
+
+// Step 2 in memory: k-way merges stamped inputs (outputs of
+// stamp_and_sort_timeline) by (t, device, seq), ties going to the earlier
+// input, and appends the merged lines to *out.
+void merge_stamped_timelines(const std::vector<std::string_view>& inputs,
+                             std::string* out);
+
+// Both steps over raw device timelines.
 TimelineMergeResult merge_timelines_checked(
     const std::vector<DeviceTimeline>& inputs);
 
@@ -86,16 +124,16 @@ MergedSummary summarize_merged(std::string_view timeline_jsonl,
 // Fixed-width text rendering (one group per row plus a totals row).
 void print_merged_summary(std::ostream& os, const MergedSummary& summary);
 
-// External k-way merge for the sharded campaign path: each input is an
+// Step 2 over files, for the sharded campaign path: each input is an
 // already-stamped, already-(t,device,seq)-sorted timeline stream (the
 // output format of merge_timelines — shard files qualify by construction),
-// and the merge interleaves them by the same (t, device, seq) key without
-// ever materializing more than one line per input. Because the key is
-// total across distinct device labels, merging sorted shards produces the
-// same bytes as one global merge_timelines over all the runs — this is
-// what makes sharded campaign timelines byte-identical to the in-memory
-// path. Lines without a finite "t" or a "device" string are dropped
-// (same contract as merge_timelines). Returns the number of lines written.
+// and the merge interleaves them by the same (t, device, seq) key, holding
+// one line per input in a reused buffer. Because the key is total across
+// distinct device labels, merging sorted shards produces the same bytes as
+// one global merge_timelines over all the runs — this is what makes
+// sharded campaign timelines byte-identical to the in-memory path. Lines
+// without a finite "t" or a "device" string are dropped (same contract as
+// merge_timelines). Returns the number of lines written.
 std::size_t merge_sorted_timeline_streams(
     const std::vector<std::istream*>& inputs, std::ostream& out);
 

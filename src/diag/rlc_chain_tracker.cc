@@ -90,8 +90,8 @@ void RlcChainTracker::reset() {
   for (DirState* d : {&ul_, &dl_}) {
     d->stream.reset();
     d->pkt_at.clear();
-    d->cum_mapped.clear();
-    d->cum_bytes.clear();
+    d->cum_mapped.assign(1, 0);
+    d->cum_bytes.assign(1, 0);
     d->retx_at.clear();
     d->built = 0;
     d->time_ordered = true;

@@ -111,10 +111,12 @@ class RlcChainTracker : public core::CollectorSink {
     core::RlcStream stream;
     // SoA checkpoint arrays over the stream's packets: pkt_at holds the
     // packet timestamps, cum_* are N+1 prefix sums (cum[0] = 0), rebuilt
-    // from the stream's dirty floor after each sync.
+    // from the stream's dirty floor after each sync. The N+1 shape holds
+    // from construction on, so window() may index cum_*[0] before the
+    // direction has seen a packet.
     std::vector<sim::TimePoint> pkt_at;
-    std::vector<std::uint32_t> cum_mapped;
-    std::vector<std::uint64_t> cum_bytes;
+    std::vector<std::uint32_t> cum_mapped = {0};
+    std::vector<std::uint64_t> cum_bytes = {0};
     std::vector<sim::TimePoint> retx_at;  // sorted retransmission times
     std::size_t built = 0;     // packets indexed so far
     bool time_ordered = true;  // pkt_at nondecreasing (binary search valid)

@@ -321,7 +321,10 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
     } else {
       parsed = p.skip_value();  // "cmd", "id", future extensions
     }
-    if (!parsed) return fail("spec: malformed value for \"" + key + "\"");
+    if (!parsed) {
+      return fail("spec: malformed value for \"" + key + "\" at byte " +
+                  std::to_string(p.offset()));
+    }
   }
   if (!one_of(out->scenario, {"pageload", "post", "video"})) {
     return fail("spec: unknown scenario \"" + out->scenario + "\"");

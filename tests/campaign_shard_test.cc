@@ -16,10 +16,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/export_sink.h"
 #include "core/json_util.h"
+#include "core/timeline_merge.h"
 #include "sim/rng.h"
 
 namespace qoed::core {
@@ -354,6 +356,182 @@ TEST(CampaignShard, QuarantinedRunsReportedAndExcludedFromMetrics) {
   EXPECT_EQ(agg->pooled.n, 2u * 3);
   // And the registry carries the campaign-level accounting.
   EXPECT_EQ(result.registry.counter("campaign.quarantined"), 1.0);
+}
+
+// A run timeline shaped like a real export plus the damage the merge must
+// tolerate: t on a coarse grid (so runs tie on t), t stepping backwards,
+// duplicate (t, seq) pairs, malformed and blank lines. Run 3 has none.
+std::string messy_timeline(std::size_t run) {
+  if (run == 3) return "";
+  sim::Rng rng(1000 + run);
+  std::ostringstream os;
+  for (int i = 0; i < 40; ++i) {
+    os << "{\"t\":";
+    put_json_number(os, 0.25 * static_cast<double>(rng.uniform_int(0, 12)));
+    os << ",\"seq\":" << i << ",\"layer\":\"packet\",\"k\":\"r" << run << "-"
+       << i << "\"}\n";
+    if (i % 11 == 3) os << "\n";
+    if (i % 13 == 5) os << "{\"seq\":" << i << ",\"layer\":\"cut\n";
+    if (i % 17 == 7) os << "####garbage\n";
+  }
+  os << "{\"t\":1,\"seq\":99,\"k\":\"dupA" << run << "\"}\n"
+     << "{\"t\":1,\"seq\":99,\"k\":\"dupB" << run << "\"}\n";
+  return os.str();
+}
+
+TEST(CampaignShard, MergedTimelineIndependentOfShardLayout) {
+  const std::size_t runs = 9;
+  const RunFn fn = [](std::uint64_t seed, const RunSpec& spec) {
+    RunResult r = synthetic_run(seed);
+    r.artifacts.timeline_jsonl = messy_timeline(spec.run_index);
+    return r;
+  };
+  std::vector<DeviceTimeline> all;
+  for (std::size_t i = 0; i < runs; ++i) {
+    all.push_back({"run-" + std::to_string(i), messy_timeline(i)});
+  }
+  const std::string reference = merge_timelines(all);
+  ASSERT_FALSE(reference.empty());
+
+  CampaignConfig memory = sharded_config("", runs, 4);
+  memory.keep_artifacts = true;
+  EXPECT_EQ(CampaignTimelineSink(Campaign(memory).run(fn)).to_string(),
+            reference);
+
+  // 1 byte: one run per shard, written as-is. 4 KiB: a few runs per shard,
+  // k-way merged. Default and 1 GiB: every run in one shard.
+  for (const std::size_t shard_bytes :
+       {std::size_t{1}, std::size_t{4096}, CampaignShardConfig{}.shard_bytes,
+        std::size_t{1} << 30}) {
+    for (const std::size_t jobs : {1, 4}) {
+      const std::string dir = scratch_dir(
+          "layout_" + std::to_string(shard_bytes) + "_" + std::to_string(jobs));
+      CampaignConfig cfg = sharded_config(dir, runs, jobs);
+      cfg.shard.shard_bytes = shard_bytes;
+      Campaign(cfg).run(fn);
+      EXPECT_EQ(ShardTimelineMergeSink(dir).to_string(), reference)
+          << "shard_bytes=" << shard_bytes << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(CampaignShard, CommitLockWallIsProfiledOutsideTheRegistry) {
+  const std::string dir = scratch_dir("lock_wall");
+  Campaign campaign(sharded_config(dir, 5, 2));
+  const CampaignResult result = campaign.run(synthetic_factory());
+  const obs::MetricsRegistry::Histogram* hold =
+      campaign.last_profile().find_histogram("prof.shard.commit_lock_wall");
+  ASSERT_NE(hold, nullptr);
+  EXPECT_EQ(hold->count, 5u);  // one observation per submit
+  EXPECT_EQ(result.registry.find_histogram("prof.shard.commit_lock_wall"),
+            nullptr);
+  EXPECT_EQ(ShardMetricsMergeSink(dir).to_string().find("prof."),
+            std::string::npos);
+}
+
+// --- input boundaries: unsigned fields, manifests and metrics lines ---
+
+TEST(JsonLiteParserTest, ReadUint64RejectsSignsAndOverflow) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(JsonLiteParser("18446744073709551615").read_uint64(&v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(JsonLiteParser(" 0042,").read_uint64(&v));
+  EXPECT_EQ(v, 42u);
+  for (const char* bad : {"18446744073709551616", "99999999999999999999999",
+                          "-1", "-0", "+1", "", "x", "1e3x"}) {
+    JsonLiteParser p(bad);
+    v = 7;
+    if (std::string_view(bad) == "1e3x") {
+      EXPECT_TRUE(p.read_uint64(&v));  // reads "1"; "e3x" is left over
+      EXPECT_EQ(v, 1u);
+      continue;
+    }
+    EXPECT_FALSE(p.read_uint64(&v)) << bad;
+    EXPECT_EQ(v, 7u) << bad;          // *out untouched: nothing wraps
+    EXPECT_EQ(p.offset(), 0u) << bad;  // the error points at the number
+  }
+  // Bounded by the view: the digits after it are not read.
+  const std::string digits = "12345";
+  JsonLiteParser p(std::string_view(digits).substr(0, 3));
+  EXPECT_TRUE(p.read_uint64(&v));
+  EXPECT_EQ(v, 123u);
+}
+
+TEST(CampaignShard, MalformedManifestIsRejectedWithItsLocation) {
+  const std::string dir = scratch_dir("bad_manifest");
+  fs::create_directories(dir);
+  const auto expect_error = [&](const std::string& text,
+                                const std::string& field,
+                                std::size_t byte) {
+    std::ofstream(dir + "/MANIFEST.json", std::ios::trunc) << text;
+    ShardManifest manifest;
+    std::string error;
+    EXPECT_FALSE(read_shard_manifest(dir, &manifest, &error)) << text;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+    EXPECT_NE(error.find("at byte " + std::to_string(byte)),
+              std::string::npos)
+        << error;
+  };
+  const std::string negative = "{\"campaign\":\"c\",\"runs\":-1}";
+  expect_error(negative, "\"runs\"", negative.find("-1"));
+  const std::string overflow =
+      "{\"campaign\":\"c\",\"master_seed\":18446744073709551616}";
+  expect_error(overflow, "\"master_seed\"", overflow.find("1844"));
+  const std::string shard =
+      "{\"shards\":[{\"index\":0,\"run_begin\":0,\"run_end\":-3}]}";
+  expect_error(shard, "\"shards.run_end\"", shard.find("-3"));
+  const std::string truncated = "{\"campaign\":\"c\",\"runs\":5";
+  expect_error(truncated, "malformed object", truncated.size());
+
+  // Resuming over such a manifest fails loudly instead of starting over.
+  CampaignShardConfig cfg;
+  cfg.out_dir = dir;
+  cfg.resume = true;
+  std::ofstream(dir + "/MANIFEST.json", std::ios::trunc) << negative;
+  try {
+    ShardedCampaignSink sink(cfg, "c", 1, 0);
+    ADD_FAILURE() << "resume accepted a malformed manifest";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("MANIFEST.json"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CampaignShard, ResumeRejectsCorruptMetricsLinesWithTheirLocation) {
+  const auto corrupt_and_resume = [](const std::string& name,
+                                     const std::string& from,
+                                     const std::string& to) {
+    const std::string dir = scratch_dir(name);
+    CampaignConfig cfg = sharded_config(dir, 3, 1);
+    cfg.shard.shard_runs = 1;
+    Campaign(cfg).run(synthetic_factory());
+    const std::string path = dir + "/metrics-000001.jsonl";
+    std::ifstream in(path);
+    std::stringstream content;
+    content << in.rdbuf();
+    std::string text = content.str();
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos);
+    text.replace(at, from.size(), to);
+    std::ofstream(path, std::ios::trunc) << text;
+    cfg.shard.resume = true;
+    try {
+      ShardedCampaignSink sink(cfg.shard, cfg.name, cfg.master_seed, 3);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string negative =
+      corrupt_and_resume("bad_attempts", "\"attempts\":1", "\"attempts\":-1");
+  EXPECT_NE(negative.find("metrics-000001.jsonl:1"), std::string::npos)
+      << negative;
+  EXPECT_NE(negative.find("\"attempts\""), std::string::npos) << negative;
+
+  const std::string stray =
+      corrupt_and_resume("bad_run", "{\"run\":1,", "{\"run\":4000000000,");
+  EXPECT_NE(stray.find("outside the shard's range [1, 2)"), std::string::npos)
+      << stray;
 }
 
 }  // namespace

@@ -205,6 +205,29 @@ TEST(SharedCellRun, InvalidSpecThrows) {
   EXPECT_THROW(run_cell_scenario(spec), std::invalid_argument);
 }
 
+// Regression: mixed 8-device cells with arrivals 5 s apart used to crash
+// in RlcChainTracker::window (called from DiagnosisEngine::finalize) when a
+// device finalized a window before its first packet in one direction.
+TEST(SharedCellRun, LateArrivalsFinalizeBeforeFirstPacket) {
+  static const char* const kApps[] = {"browser", "social", "video"};
+  CellScenarioSpec spec;
+  spec.network = "3g";
+  spec.seed = 3;
+  spec.capacity_kbps = 2000;
+  spec.throttle_kbps = 250;
+  spec.mechanism = "shaping";
+  for (int i = 0; i < 8; ++i) {
+    CellDeviceSpec d;
+    d.app = kApps[i % 3];
+    d.arrival_s = 5.0 * i;
+    d.actions = 3;
+    spec.devices.push_back(d);
+  }
+  const core::RunResult res = run_cell_scenario(spec);
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_FALSE(res.artifacts.timeline_jsonl.empty());
+}
+
 // --- Campaign integration: per-cell artifacts through the sharded path ---
 
 core::RunFn cell_factory() {

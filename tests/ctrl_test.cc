@@ -306,6 +306,29 @@ TEST(PolicyEngine, SpecJsonRoundTripsPolicyAndRejectsBadPolicy) {
   EXPECT_NE(error.find("at byte 3: 'bogus'"), std::string::npos) << error;
 }
 
+// Seeds are exact unsigned 64-bit values: a sign or an overflowing value is
+// rejected at spec-parse time with its offset, never wrapped to 2^64-1 (two
+// distinct submissions used to replay the same run).
+TEST(PolicyEngine, SpecSeedRejectsSignAndOverflowWithOffset) {
+  svc::ScenarioSpec parsed;
+  std::string error;
+  for (const char* bad : {"-1", "18446744073709551616",
+                          "99999999999999999999999"}) {
+    const std::string json =
+        std::string("{\"scenario\":\"post\",\"seed\":") + bad + "}";
+    EXPECT_FALSE(svc::ScenarioSpec::parse_json(json, &parsed, &error)) << bad;
+    EXPECT_NE(error.find("\"seed\" at byte " +
+                         std::to_string(json.find(bad))),
+              std::string::npos)
+        << error;
+  }
+  ASSERT_TRUE(svc::ScenarioSpec::parse_json(
+      "{\"scenario\":\"post\",\"seed\":18446744073709551615}", &parsed,
+      &error))
+      << error;
+  EXPECT_EQ(parsed.seed, UINT64_MAX);
+}
+
 // ---- seed derivation: golden values and stream separation ----
 
 // Hard-coded goldens: any change to the derivation chain (fork tags, hash,

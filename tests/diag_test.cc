@@ -371,6 +371,28 @@ TEST_F(LiveDiagTest, RlcWindowStatsMatchManualScanOfBatchResult) {
   }
 }
 
+// A direction that has not seen a packet yet (or was just reset by a layer
+// clear) still answers window queries: its prefix sums start as {0}, so the
+// query reads cum[0] instead of indexing an empty vector.
+TEST(RlcChainTrackerTest, WindowOnEmptyDirectionIsZero) {
+  const std::vector<net::PacketRecord> trace;
+  radio::QxdmLogger log(sim::Rng(1));
+  RlcChainTracker tracker(trace, log);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const net::Direction dir :
+         {net::Direction::kUplink, net::Direction::kDownlink}) {
+      const RlcChainTracker::WindowStats ws =
+          tracker.window(dir, sim::kTimeZero, at_ms(5000));
+      EXPECT_EQ(ws.packets, 0u);
+      EXPECT_EQ(ws.mapped, 0u);
+      EXPECT_EQ(ws.mapped_bytes, 0u);
+      EXPECT_EQ(ws.retx, 0u);
+    }
+    tracker.reset();
+    tracker.sync();
+  }
+}
+
 TEST_F(LiveDiagTest, FindingsMatchBatchAnalyzersFieldForField) {
   start();
   for (int i = 0; i < 3; ++i) ASSERT_FALSE(upload().timed_out);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,6 +15,7 @@
 
 #include "apps/social_server.h"
 #include "core/export_sink.h"
+#include "core/json_util.h"
 #include "core/qoe_doctor.h"
 
 namespace qoed::core {
@@ -178,6 +183,135 @@ TEST(TimelineMergeCheckedTest, PlainWrapperMatchesCheckedJsonl) {
   const DeviceTimeline a{"a", "{\"t\":1,\"seq\":0}\nnot-json\n"};
   const DeviceTimeline b{"b", "{\"t\":0.5,\"seq\":0}\n"};
   EXPECT_EQ(merge_timelines({a, b}), merge_timelines_checked({a, b}).jsonl);
+}
+
+// --- what the key parse accepts ---
+
+// Tag of each merged line ("k" field), in merged order.
+std::vector<std::string> tags_of(const std::string& merged) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines_of(merged)) {
+    const auto k = line.find("\"k\":\"");
+    out.push_back(k == std::string::npos
+                      ? "?"
+                      : line.substr(k + 5, line.find('"', k + 5) - k - 5));
+  }
+  return out;
+}
+
+TEST(TimelineMergeTest, WithinAnInputLinesSortStablyByTThenSeq) {
+  // t and seq come from small sets, so ties on t and on (t, seq) are common
+  // and the input is far from sorted; enough lines that the sort cannot
+  // fall back to a stable insertion sort by accident.
+  struct Rec {
+    double t;
+    int seq;
+    std::string tag;
+  };
+  std::vector<Rec> recs;
+  std::string jsonl;
+  for (int i = 0; i < 60; ++i) {
+    recs.push_back({0.5 * ((i * 7) % 5), (i * 11) % 4, "x" + std::to_string(i)});
+    std::ostringstream line;
+    line << "{\"t\":";
+    put_json_number(line, recs.back().t);
+    line << ",\"seq\":" << recs.back().seq << ",\"k\":\"" << recs.back().tag
+         << "\"}\n";
+    jsonl += line.str();
+  }
+  std::stable_sort(recs.begin(), recs.end(), [](const Rec& a, const Rec& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  });
+  std::vector<std::string> want;
+  for (const Rec& r : recs) want.push_back(r.tag);
+  EXPECT_EQ(tags_of(merge_timelines({{"d", jsonl}})), want);
+}
+
+TEST(TimelineKeyParseTest, AcceptsWhatStrtodAcceptsAndRejectsNonFinite) {
+  const DeviceTimeline d{
+      "d",
+      "{\"t\": 1.5,\"seq\":0,\"k\":\"space\"}\n"       // whitespace after ':'
+      "{\"t\":\t2,\"seq\":1,\"k\":\"tab\"}\n"
+      "{\"t\":1e-3,\"seq\":2,\"k\":\"exp\"}\n"
+      "{\"t\":2.5E+1,\"seq\":3,\"k\":\"EXP\"}\n"
+      "{\"t\":-0,\"seq\":4,\"k\":\"negzero\"}\n"
+      "{\"t\":0x10,\"seq\":5,\"k\":\"hex\"}\n"         // strtod reads hex: 16
+      "{\"t\":1e400,\"seq\":6,\"k\":\"overflow\"}\n"   // inf: quarantined
+      "{\"t\":-1e400,\"seq\":7,\"k\":\"-overflow\"}\n"
+      "{\"t\":nan,\"seq\":8,\"k\":\"nan\"}\n"
+      "{\"t\":inf,\"seq\":9,\"k\":\"inf\"}\n"
+      "{\"t\":\"3\",\"seq\":10,\"k\":\"string\"}\n"    // not a number
+      "{\"dt\":5,\"seq\":11,\"k\":\"dt-only\"}\n"      // \"dt\" is not \"t\"
+      "{\"dt\":5,\"t\":3,\"seq\":12,\"k\":\"dt-then-t\"}\n"};
+  const TimelineMergeResult result = merge_timelines_checked({d});
+  EXPECT_EQ(result.inputs[0].lines, 13u);
+  EXPECT_EQ(result.inputs[0].malformed, 6u);
+  EXPECT_EQ(tags_of(result.jsonl),
+            (std::vector<std::string>{"negzero", "exp", "space", "tab",
+                                      "dt-then-t", "hex", "EXP"}));
+}
+
+TEST(TimelineKeyParseTest, NegativeZeroTiesWithZero) {
+  // -0 == 0, so the tie falls through to the device label.
+  const DeviceTimeline a{"a", "{\"t\":0,\"seq\":0,\"k\":\"a\"}\n"};
+  const DeviceTimeline b{"b", "{\"t\":-0,\"seq\":0,\"k\":\"b\"}\n"};
+  EXPECT_EQ(tags_of(merge_timelines({b, a})),
+            (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(TimelineKeyParseTest, BoundedStrtodMatchesStrtod) {
+  const std::string long_digits = "0." + std::string(80, '3') + "7";
+  const std::string long_ws = std::string(100, ' ') + "7.25";
+  const std::string long_nan = "nan(" + std::string(80, 'a') + ")x";
+  const char* const tokens[] = {
+      "0", "-0", "1", "1.", ".5", "-.5", "+1", " 1", "\t\n 2", "1e", "1e+",
+      "1e-3", "1E5", "1e400", "-1e400", "1e-400", "4.9e-324",
+      "2.2250738585072014e-308", "0x1p4", "0X10", "-0x1p-2", "00x1", "inf",
+      "-Infinity", "nan", "nan(123)", "abc", "", "-", "0.60099999999999998",
+      "123456789012345678901234567890", "1.7976931348623157e308",
+      "1.7976931348623159e308", "9007199254740993", "1_0", "12abc",
+      "7}", "3,\"seq\":1", "nan(1_a)", "nan(x", "-infinityx", "1.5e-3)",
+      long_digits.c_str(), long_ws.c_str(), long_nan.c_str()};
+  for (const char* token : tokens) {
+    char* end = nullptr;
+    const double want = std::strtod(token, &end);
+    const auto want_used = static_cast<std::size_t>(end - token);
+    double got = -1;
+    const std::size_t used = bounded_strtod(token, &got);
+    EXPECT_EQ(used, want_used) << "'" << token << "'";
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "'" << token << "'";
+    } else {
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "'" << token << "': " << got << " vs " << want;
+    }
+  }
+}
+
+TEST(TimelineKeyParseTest, NeverReadsPastTheLine) {
+  // A number cut off by the end of its view parses as the bytes in the
+  // view; the digits after it are not read.
+  const std::string digits = "12345";
+  double v = 0;
+  EXPECT_EQ(bounded_strtod(std::string_view(digits).substr(0, 2), &v), 2u);
+  EXPECT_EQ(v, 12);
+
+  // strtod skips whitespace, newlines included: an unbounded parse of the
+  // first line would take its "t" from the second. Bounded, the first line
+  // has no number after "t": and both lines are dropped.
+  std::string out;
+  merge_stamped_timelines(
+      {"{\"device\":\"a\",\"t\":\n7,\"seq\":0}\n"}, &out);
+  EXPECT_EQ(out, "");
+
+  // A stamped input whose last line has no terminator at all (not even the
+  // NUL a std::string carries): the parse stops at the view's end.
+  const std::string text = "{\"device\":\"a\",\"t\":12";
+  const std::vector<char> exact(text.begin(), text.end());
+  out.clear();
+  merge_stamped_timelines({std::string_view(exact.data(), exact.size())},
+                          &out);
+  EXPECT_EQ(out, text + "\n");
 }
 
 }  // namespace
