@@ -6,8 +6,10 @@
 // of merit: simulated device-hours per wall-second and peak RSS. The
 // sharded path must stay O(shard budget) in memory no matter the run
 // count, while the in-memory path grows linearly; the bench makes that
-// difference measurable and gates on the two modes producing
-// byte-identical merged artifacts.
+// difference measurable and gates on the two modes producing a
+// byte-identical metrics.json (ShardMetricsMergeSink over the shards vs
+// MetricsJsonSink over the in-memory registry). Findings and timeline
+// merge only from the shards, so the sharded mode alone writes them.
 //
 // Peak RSS (getrusage ru_maxrss) is a process-lifetime high-water mark,
 // so `--mode both` re-executes this binary (via /proc/self/exe) once per
@@ -17,8 +19,8 @@
 //   bench_fleet --runs 10000 --jobs 8 --out-dir /tmp/fleet
 //               --bench-json BENCH_fleet.json
 //
-// emits one JSON line per mode plus a summary line with the equality
-// verdict. Exit status is non-zero if the modes disagree.
+// emits one JSON line per mode plus a summary line with the metrics.json
+// equality verdict. Exit status is non-zero if the modes disagree.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -95,9 +97,9 @@ double maxrss_mib(const rusage& ru) {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-// Runs the campaign in ONE mode inside this process and writes the three
-// merged artifacts under <out-dir>/<mode>/. Returns the campaign result's
-// device-seconds total.
+// Runs the campaign in ONE mode inside this process and writes its merged
+// artifacts under <out-dir>/<mode>/: all three for sharded, metrics.json
+// for memory. Returns the process exit status.
 int run_one_mode(const FleetOptions& opt, const std::string& mode) {
   const std::string dir = mode_dir(opt, mode);
   CampaignConfig cfg;
@@ -109,8 +111,6 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
     cfg.shard.out_dir = dir;
     cfg.shard.shard_bytes = opt.common.shard_bytes;
     cfg.shard.shard_runs = opt.common.shard_runs;
-  } else {
-    cfg.keep_artifacts = true;
   }
 
   Campaign campaign(cfg);
@@ -125,9 +125,7 @@ int run_one_mode(const FleetOptions& opt, const std::string& mode) {
             ShardMetricsMergeSink(dir).write_file(dir + "/metrics.json");
   } else {
     std::filesystem::create_directories(dir);
-    wrote = CampaignFindingsSink(result).write_file(dir + "/findings.jsonl") &&
-            CampaignTimelineSink(result).write_file(dir + "/timeline.jsonl") &&
-            MetricsJsonSink(result.registry).write_file(dir + "/metrics.json");
+    wrote = MetricsJsonSink(result.registry).write_file(dir + "/metrics.json");
   }
   if (!wrote) {
     std::fprintf(stderr, "FAILED to write merged artifacts under %s\n",
@@ -302,11 +300,9 @@ int main(int argc, char** argv) {
   rusage ru_memory{};
   int rc = spawn_mode(opt, "sharded", &ru_sharded);
   rc |= spawn_mode(opt, "memory", &ru_memory);
-  const bool equal = artifact_equal(opt, "findings.jsonl") &&
-                     artifact_equal(opt, "timeline.jsonl") &&
-                     artifact_equal(opt, "metrics.json");
+  const bool equal = artifact_equal(opt, "metrics.json");
   std::printf("peak RSS: sharded %.1f MiB vs in-memory %.1f MiB | "
-              "artifacts %s\n",
+              "metrics.json %s\n",
               maxrss_mib(ru_sharded), maxrss_mib(ru_memory),
               equal ? "byte-identical" : "DIFFER");
   if (!opt.bench_json.empty()) {
@@ -314,7 +310,7 @@ int main(int argc, char** argv) {
         opt.bench_json, "fleet/summary",
         {{"peak_rss_sharded_mib", maxrss_mib(ru_sharded)},
          {"peak_rss_memory_mib", maxrss_mib(ru_memory)},
-         {"artifacts_equal", equal ? 1.0 : 0.0}});
+         {"metrics_equal", equal ? 1.0 : 0.0}});
   }
   return rc != 0 || !equal ? 1 : 0;
 }

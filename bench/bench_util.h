@@ -31,7 +31,7 @@ namespace qoed::bench {
 //   --out-dir D   sharded (constant-memory) campaigns: each campaign streams
 //                 its runs into shard files under D/<campaign>/ and writes
 //                 merged findings.jsonl/timeline.jsonl/metrics.json there
-//                 (byte-identical to in-memory mode at any --jobs)
+//                 (byte-identical at any --jobs)
 //   --shard-bytes N  shard rotation budget in bytes [4 MiB]
 //   --shards N    also rotate every N runs (0 = byte budget only)
 struct BenchOptions {

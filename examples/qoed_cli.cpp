@@ -54,13 +54,12 @@
 //             latency medians; join findings with --findings=FILE)
 //             --merged: the single input is already merged/stamped
 //             (a cell or fleet timeline.jsonl) — summarize as-is
-//   fleet:    batch campaign over one ScenarioSpec JSON per line of --specs.
-//             Sharded (constant-memory) by default with --out-dir; --memory
-//             pools RunResults instead. Merged findings.jsonl /
-//             timeline.jsonl / metrics.json are byte-identical between the
-//             two modes and at any --jobs. --resume continues a killed
-//             sharded fleet; --merge-only just rebuilds merged artifacts
-//             from an existing shard dir.
+//   fleet:    batch campaign over one ScenarioSpec JSON per line of --specs,
+//             sharded (constant-memory) under --out-dir. Merged
+//             findings.jsonl / timeline.jsonl / metrics.json are
+//             byte-identical at any --jobs. --resume continues a killed
+//             fleet; --merge-only just rebuilds merged artifacts from an
+//             existing shard dir.
 //   serve:    long-lived scheduler; line-delimited JSON commands
 //             (submit/status/drain/shutdown) on stdin or --socket=PATH.
 //             See src/svc/serve.h for the protocol.
@@ -353,12 +352,16 @@ void export_artifacts(device::Device& dev, core::QoeDoctor& doctor,
   const std::string metrics = opt.get("metrics", "");
   if (!metrics.empty()) {
     obs::MetricsRegistry& reg = doctor.obs().metrics;
-    doctor.collector().export_metrics(reg);
     doctor.flows().export_metrics(reg);
     doctor.flow_stats().export_metrics(reg);
-    if (doctor.diagnosis() != nullptr) doctor.diagnosis()->export_metrics(reg);
-    if (injector != nullptr) injector->export_metrics(reg);
-    if (policy != nullptr) policy->export_metrics(reg);
+    // The component counters go through the same add_counters calls a
+    // campaign run makes; the run's registry then merges into the doctor's.
+    core::RunResult rr;
+    doctor.collector().add_counters(rr);
+    if (doctor.diagnosis() != nullptr) doctor.diagnosis()->add_counters(rr);
+    if (injector != nullptr) injector->add_counters(rr);
+    if (policy != nullptr) policy->add_counters(rr);
+    reg.merge_from(rr.registry);
     const sim::LogCounts& logs = sim::Logger::thread_counts();
     reg.add_counter("log.warn", logs.warn);
     reg.add_counter("log.error", logs.error);
@@ -808,62 +811,33 @@ int run_pop(const Options& opt) {
   return 0;
 }
 
-// Writes the merged fleet artifacts: from the shard directory (sharded
-// mode) or from the pooled per-run artifacts (--memory). Same stamping and
-// merge code both ways, so the outputs are byte-identical.
-void write_fleet_artifacts(const Options& opt, const std::string& out_dir,
-                           const core::CampaignResult* memory_result) {
+// Writes the merged fleet artifacts from the shard directory: each to its
+// --findings/--timeline/--metrics/--captures path, or next to the shards.
+void write_fleet_artifacts(const Options& opt, const std::string& out_dir) {
   const auto path = [&](const char* key, const char* def) {
-    std::string p = opt.get(key, "");
-    if (p.empty() && !out_dir.empty()) {
-      p = out_dir + "/" + def;
-    }
-    return p;
+    const std::string p = opt.get(key, "");
+    return p.empty() ? out_dir + "/" + def : p;
   };
-  const std::string findings = path("findings", "findings.jsonl");
-  const std::string timeline = path("timeline", "timeline.jsonl");
-  const std::string metrics = path("metrics", "metrics.json");
-  const std::string captures = path("captures", "captures.jsonl");
-  if (memory_result == nullptr) {
-    if (!findings.empty()) {
-      run_sink(core::ShardFindingsMergeSink(out_dir), findings);
-    }
-    if (!timeline.empty()) {
-      run_sink(core::ShardTimelineMergeSink(out_dir), timeline);
-    }
-    if (!metrics.empty()) {
-      run_sink(core::ShardMetricsMergeSink(out_dir), metrics);
-    }
-    if (!captures.empty()) {
-      run_sink(core::ShardCapturesMergeSink(out_dir), captures);
-    }
-    return;
-  }
-  if (!findings.empty()) {
-    run_sink(core::CampaignFindingsSink(*memory_result), findings);
-  }
-  if (!timeline.empty()) {
-    run_sink(core::CampaignTimelineSink(*memory_result), timeline);
-  }
-  if (!metrics.empty()) {
-    run_sink(core::MetricsJsonSink(memory_result->registry), metrics);
-  }
-  if (!captures.empty()) {
-    run_sink(core::CampaignCapturesSink(*memory_result), captures);
-  }
+  run_sink(core::ShardFindingsMergeSink(out_dir),
+           path("findings", "findings.jsonl"));
+  run_sink(core::ShardTimelineMergeSink(out_dir),
+           path("timeline", "timeline.jsonl"));
+  run_sink(core::ShardMetricsMergeSink(out_dir),
+           path("metrics", "metrics.json"));
+  run_sink(core::ShardCapturesMergeSink(out_dir),
+           path("captures", "captures.jsonl"));
 }
 
 int run_fleet(const Options& opt) {
   const std::string specs_path = opt.get("specs", "");
   const std::string out_dir = opt.get("out-dir", "");
-  const bool memory = opt.get_int("memory", 0) != 0;
+  if (out_dir.empty()) {
+    std::printf("fleet: --out-dir=DIR (the shard directory) required\n");
+    return 2;
+  }
 
   if (opt.get_int("merge-only", 0) != 0) {
-    if (out_dir.empty()) {
-      std::printf("fleet: --merge-only needs --out-dir\n");
-      return 2;
-    }
-    write_fleet_artifacts(opt, out_dir, nullptr);
+    write_fleet_artifacts(opt, out_dir);
     return 0;
   }
 
@@ -896,10 +870,6 @@ int run_fleet(const Options& opt) {
     std::printf("fleet: no specs in %s\n", specs_path.c_str());
     return 2;
   }
-  if (!memory && out_dir.empty()) {
-    std::printf("fleet: need --out-dir (sharded) or --memory\n");
-    return 2;
-  }
 
   core::CampaignConfig cfg;
   cfg.name = "fleet";
@@ -911,16 +881,11 @@ int run_fleet(const Options& opt) {
       std::strtod(opt.get("max-virtual-s", "0").c_str(), nullptr);
   cfg.max_reschedules =
       static_cast<std::size_t>(opt.get_int("max-reschedules", 1));
-  if (memory) {
-    cfg.keep_artifacts = true;
-  } else {
-    cfg.shard.out_dir = out_dir;
-    cfg.shard.shard_bytes = static_cast<std::size_t>(
-        opt.get_int("shard-bytes", 4 << 20));
-    cfg.shard.shard_runs =
-        static_cast<std::size_t>(opt.get_int("shard-runs", 0));
-    cfg.shard.resume = opt.get_int("resume", 0) != 0;
-  }
+  cfg.shard.out_dir = out_dir;
+  cfg.shard.shard_bytes =
+      static_cast<std::size_t>(opt.get_int("shard-bytes", 4 << 20));
+  cfg.shard.shard_runs = static_cast<std::size_t>(opt.get_int("shard-runs", 0));
+  cfg.shard.resume = opt.get_int("resume", 0) != 0;
 
   core::Campaign campaign(cfg);
   core::CampaignResult result;
@@ -943,7 +908,7 @@ int run_fleet(const Options& opt) {
       result.runs, result.quarantined.size(), rescheduled, result.jobs,
       campaign.last_wall_seconds());
 
-  write_fleet_artifacts(opt, out_dir, memory ? &result : nullptr);
+  write_fleet_artifacts(opt, out_dir);
   const std::string json = opt.get("json", "");
   if (!json.empty()) {
     std::ofstream os(json, std::ios::binary);
@@ -1254,7 +1219,7 @@ void usage() {
       "  pop:      [--users=N] [--seed=N] [--days=N] [--mix=S,V,B]\n"
       "            [--diurnal=mobile|flat] [--network=...] [--throttle=KBPS]\n"
       "            [--mechanism=...] [--begin=I] [--end=J] [--out=FILE]\n"
-      "  fleet:    --specs=FILE [--jobs=N] [--out-dir=DIR | --memory]\n"
+      "  fleet:    --specs=FILE --out-dir=DIR [--jobs=N]\n"
       "            [--shard-bytes=N] [--shard-runs=N] [--resume]\n"
       "            [--merge-only] [--retries=N] [--max-virtual-s=S]\n"
       "            [--max-reschedules=N] [--findings=FILE] [--timeline=FILE]\n"

@@ -354,10 +354,26 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
   core::JsonLiteParser p(json);
   if (!p.enter_object()) return fail("cell spec: expected a JSON object");
   *out = CellScenarioSpec{};
+  // Count fields record the top of their range, so a rejection names it.
+  long max_count = -1;
+  const auto count = [&](long max, long* field) {
+    max_count = max;
+    return p.read_count(max, field);
+  };
+  const auto value_error = [&](const std::string& what,
+                               const std::string& field) {
+    const std::string at = " at byte " + std::to_string(p.offset());
+    if (max_count >= 0) {
+      return fail("cell spec: \"" + field + "\" must be an integer in [0, " +
+                  std::to_string(max_count) + "]" + at);
+    }
+    return fail("cell spec: malformed " + what + " for \"" + field + "\"" +
+                at);
+  };
   std::string key;
   while (p.next_key(&key)) {
     bool parsed = true;
-    double num = 0;
+    max_count = -1;
     if (key == "network") {
       parsed = p.read_string(&out->network);
     } else if (key == "seed") {
@@ -367,16 +383,15 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
     } else if (key == "capacity_kbps") {
       parsed = p.read_number(&out->capacity_kbps);
     } else if (key == "throttle") {
-      parsed = p.read_number(&num);
-      out->throttle_kbps = static_cast<long>(num);
+      parsed = count(kMaxThrottleKbps, &out->throttle_kbps);
     } else if (key == "mechanism") {
       parsed = p.read_string(&out->mechanism);
     } else if (key == "grants") {
-      parsed = p.read_number(&num);
-      out->max_active_grants = static_cast<int>(num);
+      long grants = 0;
+      parsed = count(kMaxGrants, &grants);
+      out->max_active_grants = static_cast<int>(grants);
     } else if (key == "promo_ms") {
-      parsed = p.read_number(&num);
-      out->promotion_penalty_ms = static_cast<long>(num);
+      parsed = count(kMaxPromotionPenaltyMs, &out->promotion_penalty_ms);
     } else if (key == "devices") {
       if (!p.enter_array()) return fail("cell spec: devices not an array");
       while (p.array_next()) {
@@ -387,34 +402,26 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
         std::string dkey;
         while (p.next_key(&dkey)) {
           bool dparsed = true;
-          double dnum = 0;
+          max_count = -1;
           if (dkey == "app") {
             dparsed = p.read_string(&d.app);
           } else if (dkey == "arrival") {
             dparsed = p.read_number(&d.arrival_s);
           } else if (dkey == "actions") {
-            dparsed = p.read_number(&dnum);
-            d.actions = static_cast<long>(dnum);
+            dparsed = count(kMaxActions, &d.actions);
           } else if (dkey == "think") {
-            dparsed = p.read_number(&dnum);
-            d.think_s = static_cast<long>(dnum);
+            dparsed = count(kMaxThinkS, &d.think_s);
           } else {
             dparsed = p.skip_value();
           }
-          if (!dparsed) {
-            return fail("cell spec: malformed device value for \"" + dkey +
-                        "\"");
-          }
+          if (!dparsed) return value_error("device value", dkey);
         }
         out->devices.push_back(std::move(d));
       }
     } else {
       parsed = p.skip_value();
     }
-    if (!parsed) {
-      return fail("cell spec: malformed value for \"" + key + "\" at byte " +
-                  std::to_string(p.offset()));
-    }
+    if (!parsed) return value_error("value", key);
   }
   if (!one_of(out->network, {"3g", "3g-simplified", "lte"})) {
     return fail("cell spec: unknown network \"" + out->network + "\"");

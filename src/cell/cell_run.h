@@ -59,9 +59,19 @@ struct CellScenarioSpec {
   static CellScenarioSpec uniform(const std::string& app, int n,
                                   double stagger_s = 1.0);
 
+  // Upper bounds on the count fields; parse_json accepts integers in
+  // [0, bound] only.
+  static constexpr long kMaxActions = 10000;             // devices[].actions
+  static constexpr long kMaxThinkS = 86400;              // devices[].think
+  static constexpr long kMaxThrottleKbps = 10000000;     // throttle
+  static constexpr long kMaxGrants = 10000;              // grants
+  static constexpr long kMaxPromotionPenaltyMs = 600000;  // promo_ms
+
   // Parses one spec from a JSON object line (canonical form below; unknown
   // keys ignored, missing keys keep defaults). False with *error set on
-  // malformed JSON or an invalid enum value / empty device list.
+  // malformed JSON, an invalid enum value / empty device list, or a count
+  // field that is not an integer within its bound (field and byte offset
+  // in *error).
   static bool parse_json(std::string_view json, CellScenarioSpec* out,
                          std::string* error);
 

@@ -48,6 +48,31 @@ CampaignResult::trace_processes() const {
   return out;
 }
 
+void CampaignOutcomeTotals::add_counters(obs::MetricsRegistry& reg) const {
+  reg.add_counter("campaign.run_attempts", static_cast<double>(attempts));
+  reg.add_counter("campaign.quarantined", static_cast<double>(quarantined));
+  reg.add_counter("campaign.rescheduled", static_cast<double>(rescheduled));
+}
+
+void add_spine_run(obs::Tracer& trace, const std::string& campaign,
+                   std::size_t run_index, const RunOutcome& run) {
+  const std::uint32_t track = trace.track("run-" + std::to_string(run_index));
+  const sim::TimePoint t0;
+  const sim::TimePoint t1{sim::sec_f(run.virtual_seconds)};
+  const auto id = trace.span_open(
+      track, campaign, "campaign", t0,
+      "{\"seed\":" + std::to_string(run.last_seed) +
+          ",\"attempts\":" + std::to_string(run.attempts) + "}");
+  for (std::size_t a = 1; a < run.attempts; ++a) {
+    trace.instant(track, "retry", "campaign", t0);
+  }
+  for (std::size_t rs = 0; rs < run.reschedules; ++rs) {
+    trace.instant(track, "rescheduled", "ctrl", t0);
+  }
+  if (!run.ok) trace.instant(track, "quarantined", "campaign", t1);
+  trace.span_close(id, t1);
+}
+
 Campaign::Campaign(CampaignConfig cfg) : cfg_(std::move(cfg)) {}
 
 std::uint64_t Campaign::run_seed(std::uint64_t master_seed,
@@ -160,13 +185,6 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
 
 namespace {
 
-// Per-run outcome bookkeeping beyond the RunResult itself.
-struct RunOutcome {
-  std::size_t attempts = 0;
-  std::size_t reschedules = 0;
-  std::uint64_t last_seed = 0;
-};
-
 void merge_runs(std::vector<RunResult>& results,
                 const std::vector<RunOutcome>& outcomes,
                 std::size_t cdf_points, bool build_trace,
@@ -174,41 +192,22 @@ void merge_runs(std::vector<RunResult>& results,
   // Walk runs strictly in index order so the accumulation order (and thus
   // every floating-point result) is independent of scheduling.
   std::map<std::string, std::vector<double>> run_means;
-  std::size_t total_attempts = 0;
-  std::size_t total_reschedules = 0;
+  CampaignOutcomeTotals totals;
   out->trace.set_enabled(build_trace);
   out->traces.resize(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     RunResult& r = results[i];
+    const RunOutcome& o = outcomes[i];
     out->run_errors.push_back(r.ok ? "" : r.error);
-    out->run_attempts.push_back(outcomes[i].attempts);
-    out->run_reschedules.push_back(outcomes[i].reschedules);
-    total_attempts += outcomes[i].attempts;
-    total_reschedules += outcomes[i].reschedules;
+    out->run_attempts.push_back(o.attempts);
+    out->run_reschedules.push_back(o.reschedules);
+    totals.add(o);
     out->traces[i] = std::move(r.trace);
-    if (build_trace) {
-      // Campaign-spine rows, rebuilt here in index order: worker identity
-      // and completion order never reach the artifact.
-      const std::uint32_t track =
-          out->trace.track("run-" + std::to_string(i));
-      const sim::TimePoint t0;
-      const sim::TimePoint t1{sim::sec_f(r.virtual_seconds)};
-      const auto id = out->trace.span_open(
-          track, out->name, "campaign", t0,
-          "{\"seed\":" + std::to_string(outcomes[i].last_seed) +
-              ",\"attempts\":" + std::to_string(outcomes[i].attempts) + "}");
-      for (std::size_t a = 1; a < outcomes[i].attempts; ++a) {
-        out->trace.instant(track, "retry", "campaign", t0);
-      }
-      for (std::size_t rs = 0; rs < outcomes[i].reschedules; ++rs) {
-        out->trace.instant(track, "rescheduled", "ctrl", t0);
-      }
-      if (!r.ok) out->trace.instant(track, "quarantined", "campaign", t1);
-      out->trace.span_close(id, t1);
-    }
+    // Campaign-spine rows, rebuilt here in index order: worker identity
+    // and completion order never reach the artifact.
+    if (build_trace) add_spine_run(out->trace, out->name, i, o);
     if (!r.ok) {
-      out->quarantined.push_back({i, outcomes[i].attempts,
-                                  outcomes[i].last_seed, r.error});
+      out->quarantined.push_back({i, o.attempts, o.last_seed, r.error});
       continue;
     }
     out->registry.merge_from(r.registry);
@@ -224,12 +223,7 @@ void merge_runs(std::vector<RunResult>& results,
     }
     for (const auto& [name, v] : r.counters) out->counters[name] += v;
   }
-  out->registry.add_counter("campaign.run_attempts",
-                            static_cast<double>(total_attempts));
-  out->registry.add_counter("campaign.quarantined",
-                            static_cast<double>(out->quarantined.size()));
-  out->registry.add_counter("campaign.rescheduled",
-                            static_cast<double>(total_reschedules));
+  totals.add_counters(out->registry);
   for (auto& [name, agg] : out->metrics) {
     agg.pooled = summarize(agg.pooled_samples);
     agg.per_run_means = summarize(run_means[name]);
@@ -298,8 +292,10 @@ CampaignResult Campaign::run(const RunFn& fn) {
       if (sharded) {
         sink->submit(i, std::move(ex));
       } else {
-        outcomes[i] = {ex.attempts, ex.reschedules, ex.last_seed};
+        outcomes[i] = {ex.attempts, ex.reschedules, ex.last_seed,
+                       ex.result.ok, ex.result.virtual_seconds};
         results[i] = std::move(ex.result);
+        results[i].artifacts = RunArtifacts{};  // only shards merge these
       }
     }
   };
@@ -337,12 +333,6 @@ CampaignResult Campaign::run(const RunFn& fn) {
     return out;
   }
   merge_runs(results, outcomes, cfg_.cdf_points, cfg_.trace, &out);
-  if (cfg_.keep_artifacts) {
-    out.run_artifacts.resize(runs);
-    for (std::size_t i = 0; i < runs; ++i) {
-      out.run_artifacts[i] = std::move(results[i].artifacts);
-    }
-  }
   return out;
 }
 

@@ -51,11 +51,10 @@ struct RunSpec {
 };
 
 // Per-run export artifacts a factory may attach to its RunResult: the raw
-// (unstamped) findings and timeline JSONL for that one run. The campaign
-// either streams them into shard files (sharded mode) or moves them into
-// CampaignResult::run_artifacts (in-memory mode with keep_artifacts) so the
-// merged campaign-level findings.jsonl / timeline.jsonl can be produced by
-// either path with byte-identical output.
+// (unstamped) findings and timeline JSONL for that one run. Sharded mode
+// streams them into shard files, the one path the merged campaign-level
+// findings.jsonl / timeline.jsonl / captures.jsonl come from; in-memory
+// mode drops them.
 struct RunArtifacts {
   std::string findings_jsonl;  // FindingsJsonlSink::to_string() of this run
   std::string timeline_jsonl;  // TimelineJsonlSink::to_string() of this run
@@ -91,7 +90,7 @@ struct RunResult {
   // exceeding CampaignConfig::max_run_virtual_seconds; zero = not reported.
   double virtual_seconds = 0;
   // Optional per-run export artifacts (see RunArtifacts): streamed to shard
-  // files in sharded mode, kept per run when CampaignConfig::keep_artifacts.
+  // files in sharded mode, dropped in in-memory mode.
   RunArtifacts artifacts;
   // Set by the run's control policy (ctrl::PolicyEngine) when a
   // `reschedule` action fired: the run completed but its collection layers
@@ -109,6 +108,38 @@ struct RunResult {
     registry.add_counter(name, v);
   }
 };
+
+// How one run ended, as the campaign spine and outcome counters see it.
+struct RunOutcome {
+  std::size_t attempts = 0;     // attempts consumed, all rounds (1 = clean)
+  std::size_t reschedules = 0;  // ctrl-policy reschedule rounds consumed
+  std::uint64_t last_seed = 0;  // seed of the final attempt
+  bool ok = true;               // false = quarantined
+  double virtual_seconds = 0;
+};
+
+// The campaign.run_attempts / campaign.quarantined / campaign.rescheduled
+// registry counters: one fold for the in-memory merge, the shard sink's
+// fold_into and metrics_snapshot, and the merged metrics.json.
+struct CampaignOutcomeTotals {
+  std::size_t attempts = 0;
+  std::size_t quarantined = 0;
+  std::size_t rescheduled = 0;
+
+  void add(const RunOutcome& run) {
+    attempts += run.attempts;
+    rescheduled += run.reschedules;
+    if (!run.ok) ++quarantined;
+  }
+  void add_counters(obs::MetricsRegistry& reg) const;
+};
+
+// Appends run `run_index`'s campaign-spine rows to `trace`: a "run-N" track
+// holding the run span (virtual 0 .. virtual_seconds, named after the
+// campaign), a `retry` instant per extra attempt, a `rescheduled` instant
+// per policy round, and a `quarantined` instant when the run failed.
+void add_spine_run(obs::Tracer& trace, const std::string& campaign,
+                   std::size_t run_index, const RunOutcome& run);
 
 // Cross-run aggregation of one named metric.
 struct MetricAggregate {
@@ -168,12 +199,6 @@ struct CampaignResult {
   // Per-run traces moved out of RunResult, indexed by run.
   std::vector<obs::Tracer> traces;
 
-  // Per-run artifacts moved out of RunResult (in-memory mode only, and only
-  // when CampaignConfig::keep_artifacts — sharded mode streams them to disk
-  // instead of retaining them). Indexed by run; quarantined runs hold empty
-  // entries.
-  std::vector<RunArtifacts> run_artifacts;
-
   // Move-stable description of one trace process: the spine (run == -1) or
   // the per-run tracer at traces[run]. Resolve against the CampaignResult
   // you hold NOW — indices survive moves, pointers would not.
@@ -209,7 +234,8 @@ struct CampaignResult {
 // each written atomically (tmp+rename) before the manifest records it, so a
 // killed campaign leaves a consistent prefix that `resume` continues from.
 // The final artifacts come from an external k-way merge over the shards and
-// are byte-identical to the in-memory path at any --jobs.
+// are byte-identical at any --jobs; the merged metrics.json also equals the
+// in-memory mode's MetricsJsonSink(CampaignResult::registry).
 struct CampaignShardConfig {
   std::string out_dir;  // empty => in-memory mode (pool RunResults)
   std::size_t shard_bytes = 4u << 20;  // rotate when payload exceeds this
@@ -247,19 +273,15 @@ struct CampaignConfig {
   // their own per-run tracers in independently (RunResult::trace).
   bool trace = false;
 
-  // In-memory mode: move each run's RunArtifacts into
-  // CampaignResult::run_artifacts instead of dropping them. Off by default
-  // (it pools O(runs) artifact bytes — the thing sharded mode exists to
-  // avoid). Ignored in sharded mode, which always streams artifacts.
-  bool keep_artifacts = false;
-
   // Sharded streaming execution; active when shard.out_dir is non-empty.
   // Sharded campaigns keep O(shard) memory: CampaignResult then carries
   // summaries/specs/quarantine info but no pooled samples, per-run traces
   // or cdf (metrics summaries use streaming folds — exact n/min/max,
   // Welford stddev, histogram-derived percentiles — documented in
-  // DESIGN.md §5g). Findings/timeline/metrics artifacts merged from the
-  // shards are byte-identical to the in-memory path.
+  // DESIGN.md §5g). Merged findings/timeline/captures artifacts exist only
+  // in this mode; in-memory mode keeps the exact pooled samples, cdf and
+  // per-run traces instead, and its registry equals the shards' merged
+  // metrics.json.
   CampaignShardConfig shard;
 };
 

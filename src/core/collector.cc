@@ -563,20 +563,4 @@ void Collector::add_counters(RunResult& out, const std::string& prefix) const {
   }
 }
 
-void Collector::export_metrics(obs::MetricsRegistry& reg,
-                               const std::string& prefix) const {
-  for (Layer layer : {kLayerUi, kLayerPacket, kLayerRadio}) {
-    const LayerCounters c = counters(layer);
-    const std::string base = prefix + to_string(layer) + ".";
-    reg.add_counter(base + "events", static_cast<double>(c.events));
-    reg.add_counter(base + "bytes", static_cast<double>(c.bytes));
-    reg.add_counter(base + "dropped", static_cast<double>(c.dropped));
-    reg.add_counter(base + "high_water", static_cast<double>(c.high_water));
-    reg.add_counter(base + "out_of_order",
-                    static_cast<double>(c.out_of_order));
-    reg.add_counter(base + "health",
-                    static_cast<double>(static_cast<int>(health(layer))));
-  }
-}
-
 }  // namespace qoed::core

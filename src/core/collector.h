@@ -354,13 +354,11 @@ class Collector {
 
   // Report-surface rendering: one row per layer.
   Table counters_table() const;
-  // Campaign surface: adds the spine counters to a run's counter map as
-  // "<prefix><layer>.<events|bytes|dropped|high_water>".
+  // Metrics surface: adds the spine counters to a run as
+  // "<prefix><layer>.<events|bytes|dropped|high_water|out_of_order|health>"
+  // (RunResult::add_counter writes through to its registry).
   void add_counters(RunResult& out,
                     const std::string& prefix = "collector.") const;
-  // Registry surface for the non-campaign path: same keys, same values.
-  void export_metrics(obs::MetricsRegistry& reg,
-                      const std::string& prefix = "collector.") const;
 
   // --- observability ---
   // Wires the spine into a tracer (one virtual-time instant per captured

@@ -10,6 +10,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -221,6 +222,22 @@ class JsonLiteParser {
     if (used == 0) return false;
     pos_ += used;
     *out = v;
+    return true;
+  }
+
+  // A count in [0, max]: spec sizes, durations and rates. Non-finite,
+  // negative, fractional or larger values are rejected (never cast), with
+  // the cursor left at the number so offset() locates it.
+  bool read_count(long max, long* out) {
+    skip_ws();
+    const std::size_t start = pos_;
+    double v = 0;
+    if (!read_number(&v)) return false;
+    if (!(v >= 0 && v <= static_cast<double>(max)) || v != std::floor(v)) {
+      pos_ = start;
+      return false;
+    }
+    *out = static_cast<long>(v);
     return true;
   }
 

@@ -446,6 +446,16 @@ bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
   return true;
 }
 
+void ShardedCampaignSink::record_locked(std::size_t run_index,
+                                        const ParsedOutcome& po) {
+  if (meta_.size() <= run_index) meta_.resize(run_index + 1);
+  RunMeta& m = meta_[run_index];
+  m.outcome = {po.attempts, po.reschedules, po.seed, po.ok,
+               po.virtual_seconds};
+  m.error = po.ok ? std::string() : po.error;
+  totals_.add(m.outcome);
+}
+
 void ShardedCampaignSink::commit_locked(std::size_t run_index,
                                         const std::string& metrics_line,
                                         std::string&& findings,
@@ -460,17 +470,7 @@ void ShardedCampaignSink::commit_locked(std::size_t run_index,
     po.ok = false;
     po.error = "shard: malformed metrics line: " + error;
   }
-  if (meta_.size() <= run_index) meta_.resize(run_index + 1);
-  RunMeta& m = meta_[run_index];
-  m.attempts = static_cast<std::uint32_t>(po.attempts);
-  m.reschedules = static_cast<std::uint32_t>(po.reschedules);
-  m.ok = po.ok;
-  m.last_seed = po.seed;
-  m.virtual_seconds = po.virtual_seconds;
-  m.error = po.ok ? std::string() : po.error;
-  total_attempts_ += po.attempts;
-  total_reschedules_ += po.reschedules;
-  if (!po.ok) ++quarantined_;
+  record_locked(run_index, po);
 
   if (!cfg_.out_dir.empty()) {
     stamp_findings(run_index, findings, &findings_buf_);
@@ -592,17 +592,7 @@ void ShardedCampaignSink::replay_closed_shards() {
             " outside the shard's range [" + std::to_string(info.run_begin) +
             ", " + std::to_string(info.run_end) + ")");
       }
-      if (meta_.size() <= po.run) meta_.resize(po.run + 1);
-      RunMeta& m = meta_[po.run];
-      m.attempts = static_cast<std::uint32_t>(po.attempts);
-      m.reschedules = static_cast<std::uint32_t>(po.reschedules);
-      m.ok = po.ok;
-      m.last_seed = po.seed;
-      m.virtual_seconds = po.virtual_seconds;
-      m.error = po.ok ? std::string() : po.error;
-      total_attempts_ += po.attempts;
-      total_reschedules_ += po.reschedules;
-      if (!po.ok) ++quarantined_;
+      record_locked(po.run, po);
     }
   }
 }
@@ -647,12 +637,7 @@ Summary streaming_summary(std::uint64_t n, double mean, double m2, double min,
 std::string ShardedCampaignSink::metrics_snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   obs::MetricsRegistry merged = registry_;
-  merged.add_counter("campaign.run_attempts",
-                     static_cast<double>(total_attempts_));
-  merged.add_counter("campaign.quarantined",
-                     static_cast<double>(quarantined_));
-  merged.add_counter("campaign.rescheduled",
-                     static_cast<double>(total_reschedules_));
+  totals_.add_counters(merged);
   return merged.snapshot();
 }
 
@@ -663,22 +648,17 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
   out->run_attempts.reserve(meta_.size());
   out->run_reschedules.reserve(meta_.size());
   for (std::size_t i = 0; i < meta_.size(); ++i) {
-    const RunMeta& m = meta_[i];
-    out->run_errors.push_back(m.error);
-    out->run_attempts.push_back(m.attempts);
-    out->run_reschedules.push_back(m.reschedules);
-    if (!m.ok) {
-      out->quarantined.push_back({i, m.attempts, m.last_seed, m.error});
+    const RunOutcome& o = meta_[i].outcome;
+    out->run_errors.push_back(meta_[i].error);
+    out->run_attempts.push_back(o.attempts);
+    out->run_reschedules.push_back(o.reschedules);
+    if (!o.ok) {
+      out->quarantined.push_back({i, o.attempts, o.last_seed, meta_[i].error});
     }
   }
   out->counters = counters_;
   out->registry = registry_;
-  out->registry.add_counter("campaign.run_attempts",
-                            static_cast<double>(total_attempts_));
-  out->registry.add_counter("campaign.quarantined",
-                            static_cast<double>(quarantined_));
-  out->registry.add_counter("campaign.rescheduled",
-                            static_cast<double>(total_reschedules_));
+  totals_.add_counters(out->registry);
   for (const auto& [name, acc] : metrics_) {
     MetricAggregate& agg = out->metrics[name];
     agg.pooled =
@@ -695,23 +675,7 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
     // Same spine rows the in-memory merge builds, from the streamed
     // metadata: worker identity and completion order never reach it.
     for (std::size_t i = 0; i < meta_.size(); ++i) {
-      const RunMeta& m = meta_[i];
-      const std::uint32_t track =
-          out->trace.track("run-" + std::to_string(i));
-      const sim::TimePoint t0;
-      const sim::TimePoint t1{sim::sec_f(m.virtual_seconds)};
-      const auto id = out->trace.span_open(
-          track, out->name, "campaign", t0,
-          "{\"seed\":" + std::to_string(m.last_seed) +
-              ",\"attempts\":" + std::to_string(m.attempts) + "}");
-      for (std::size_t a = 1; a < m.attempts; ++a) {
-        out->trace.instant(track, "retry", "campaign", t0);
-      }
-      for (std::size_t rs = 0; rs < m.reschedules; ++rs) {
-        out->trace.instant(track, "rescheduled", "ctrl", t0);
-      }
-      if (!m.ok) out->trace.instant(track, "quarantined", "campaign", t1);
-      out->trace.span_close(id, t1);
+      add_spine_run(out->trace, out->name, i, meta_[i].outcome);
     }
   }
 }
@@ -747,7 +711,7 @@ void ShardTimelineMergeSink::write(std::ostream& os) const {
 
 void ShardMetricsMergeSink::write(std::ostream& os) const {
   obs::MetricsRegistry registry;
-  std::size_t total_attempts = 0, total_reschedules = 0, quarantined = 0;
+  CampaignOutcomeTotals totals;
   ShardManifest manifest;
   if (read_shard_manifest(out_dir_, &manifest)) {
     for (const ShardInfo& info : manifest.shards) {
@@ -777,22 +741,16 @@ void ShardMetricsMergeSink::write(std::ostream& os) const {
           }
         }
         if (!parsed) continue;
-        total_attempts += static_cast<std::size_t>(attempts);
-        total_reschedules += static_cast<std::size_t>(reschedules);
-        if (!ok) {
-          ++quarantined;
-        } else if (!reg.empty()) {
-          registry.merge_from_json(reg);
-        }
+        RunOutcome run;
+        run.attempts = static_cast<std::size_t>(attempts);
+        run.reschedules = static_cast<std::size_t>(reschedules);
+        run.ok = ok;
+        totals.add(run);
+        if (ok && !reg.empty()) registry.merge_from_json(reg);
       }
     }
   }
-  registry.add_counter("campaign.run_attempts",
-                       static_cast<double>(total_attempts));
-  registry.add_counter("campaign.quarantined",
-                       static_cast<double>(quarantined));
-  registry.add_counter("campaign.rescheduled",
-                       static_cast<double>(total_reschedules));
+  totals.add_counters(registry);
   registry.write_json(os);
   os << '\n';
 }
@@ -842,39 +800,6 @@ std::map<std::string, RunOutcomeCounts> read_run_outcomes(
     }
   }
   return out;
-}
-
-// ---- in-memory mirror sinks ----
-
-void CampaignFindingsSink::write(std::ostream& os) const {
-  std::string buf;
-  for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    buf.clear();
-    stamp_findings(i, result_->run_artifacts[i].findings_jsonl, &buf);
-    os << buf;
-  }
-}
-
-void CampaignCapturesSink::write(std::ostream& os) const {
-  std::string buf;
-  for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    buf.clear();
-    stamp_findings(i, result_->run_artifacts[i].captures_jsonl, &buf);
-    os << buf;
-  }
-}
-
-void CampaignTimelineSink::write(std::ostream& os) const {
-  // The sharded path's two steps, without the shards in between.
-  std::vector<std::string> runs;
-  runs.reserve(result_->run_artifacts.size());
-  for (std::size_t i = 0; i < result_->run_artifacts.size(); ++i) {
-    runs.push_back(stamp_timeline(i, result_->run_artifacts[i].timeline_jsonl));
-  }
-  std::string merged;
-  merge_stamped_timelines(
-      std::vector<std::string_view>(runs.begin(), runs.end()), &merged);
-  os << merged;
 }
 
 }  // namespace qoed::core

@@ -1,13 +1,13 @@
 // Constant-memory sharded campaign execution (DESIGN.md §5g).
 //
-// The in-memory campaign pools every RunResult and exports one artifact at
-// the end — O(total artifact bytes) memory, fine for hundreds of runs, not
-// for a simulated metro fleet. ShardedCampaignSink inverts that: workers
-// stream each run's findings/timeline/metrics JSONL into bounded shard
-// files, rotated at a byte budget and written atomically (tmp+rename)
-// BEFORE the manifest records them, so a killed campaign leaves a
-// consistent prefix that a resume continues from. The final artifacts come
-// from an external merge over the shards:
+// The in-memory campaign pools every RunResult's samples and traces until
+// the final merge — O(runs) memory, fine for hundreds of runs, not for a
+// simulated metro fleet — and keeps no per-run artifacts. With
+// ShardedCampaignSink, workers stream each run's findings/timeline/metrics
+// JSONL into bounded shard files instead, rotated at a byte budget and
+// written atomically (tmp+rename) BEFORE the manifest records them, so a
+// killed campaign leaves a consistent prefix that a resume continues from.
+// The final artifacts come from an external merge over the shards:
 //
 //   findings.jsonl  = concatenation of findings shards (run-index order)
 //   timeline.jsonl  = k-way merge of the per-shard (t, device, seq)-sorted
@@ -28,7 +28,10 @@
 // worker completion order (out-of-order payloads spill to pending files, so
 // memory stays O(shard budget)); every fold happens at commit from the
 // serialized line bytes, and %.17g doubles round-trip exactly — so the
-// merged artifacts are byte-identical to the in-memory path at any --jobs.
+// merged artifacts are byte-identical at any --jobs, and metrics.json
+// equals the in-memory campaign's registry snapshot. The shards are the
+// only source of merged findings/timeline/captures: the in-memory campaign
+// keeps no per-run artifacts.
 // The timeline merge is one stable per-run sort plus k-way merges by a key
 // that is total across runs, so its bytes do not depend on how runs are
 // grouped into shards either.
@@ -81,16 +84,14 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
                          std::string* error = nullptr);
 
 // Stamps one run's raw findings JSONL with its run index, turning
-// {"i":0,...} into {"run":7,"i":0,...} — the exact transformation both the
-// sharded and the in-memory merged findings artifact apply, so the two are
-// byte-comparable.
+// {"i":0,...} into {"run":7,"i":0,...} — the transformation the merged
+// findings and captures artifacts apply to every run.
 void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
                     std::string* out);
 
 // Stamps one run's raw timeline with its "run-N" label and stable-sorts it
 // by (t, seq) (core::stamp_and_sort_timeline), dropping malformed lines —
-// the per-run half of the timeline merge, shared by the sharded and the
-// in-memory path.
+// the per-run half of the timeline merge.
 std::string stamp_timeline(std::size_t run_index,
                            std::string_view timeline_jsonl);
 
@@ -171,11 +172,7 @@ class ShardedCampaignSink {
 
  private:
   struct RunMeta {
-    std::uint32_t attempts = 0;
-    std::uint32_t reschedules = 0;
-    bool ok = true;
-    std::uint64_t last_seed = 0;
-    double virtual_seconds = 0;
+    RunOutcome outcome;
     std::string error;  // empty for clean runs
   };
   struct Welford {
@@ -207,6 +204,8 @@ class ShardedCampaignSink {
   // false with *error naming the field and byte offset.
   bool fold_metrics_line(std::string_view line, ParsedOutcome* out,
                          std::string* error);
+  // Records a folded run's outcome in meta_ and the campaign.* totals.
+  void record_locked(std::size_t run_index, const ParsedOutcome& po);
   void commit_locked(std::size_t run_index, const std::string& metrics_line,
                      std::string&& findings, std::string&& timeline,
                      std::string&& captures);
@@ -238,9 +237,7 @@ class ShardedCampaignSink {
   std::map<std::string, double> counters_;
   std::map<std::string, MetricAccum> metrics_;
   std::vector<RunMeta> meta_;
-  std::size_t total_attempts_ = 0;
-  std::size_t total_reschedules_ = 0;
-  std::size_t quarantined_ = 0;
+  CampaignOutcomeTotals totals_;
 
   obs::MetricsRegistry profile_;
 };
@@ -304,43 +301,5 @@ struct RunOutcomeCounts {
 };
 std::map<std::string, RunOutcomeCounts> read_run_outcomes(
     const std::string& out_dir);
-
-// ---- in-memory mirror sinks ----
-// The same merged artifacts, produced from a CampaignResult that ran with
-// keep_artifacts. Byte-identical to the shard merge sinks by construction
-// (same stamping and merge code) — the equality the shard tests enforce.
-
-class CampaignFindingsSink final : public ExportSink {
- public:
-  explicit CampaignFindingsSink(const CampaignResult& result)
-      : result_(&result) {}
-  std::string_view id() const override { return "findings.jsonl"; }
-  void write(std::ostream& os) const override;
-
- private:
-  const CampaignResult* result_;
-};
-
-class CampaignTimelineSink final : public ExportSink {
- public:
-  explicit CampaignTimelineSink(const CampaignResult& result)
-      : result_(&result) {}
-  std::string_view id() const override { return "timeline.jsonl"; }
-  void write(std::ostream& os) const override;
-
- private:
-  const CampaignResult* result_;
-};
-
-class CampaignCapturesSink final : public ExportSink {
- public:
-  explicit CampaignCapturesSink(const CampaignResult& result)
-      : result_(&result) {}
-  std::string_view id() const override { return "captures.jsonl"; }
-  void write(std::ostream& os) const override;
-
- private:
-  const CampaignResult* result_;
-};
 
 }  // namespace qoed::core

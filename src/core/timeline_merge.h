@@ -22,8 +22,8 @@
 // A stable per-input sort plus a position-tiebroken k-way merge orders
 // lines exactly as one stable sort over the concatenated inputs would, so
 // the result does not depend on how inputs are grouped before merging —
-// the property that makes sharded timelines byte-identical to in-memory
-// ones at any shard size.
+// the property that makes sharded timelines byte-identical to one
+// merge_timelines over the same runs at any shard size.
 //
 // Robustness: real exports get truncated by crashes and corrupted in
 // transit. Step 1 quarantines malformed lines (not a JSON object, or no
@@ -130,8 +130,7 @@ void print_merged_summary(std::ostream& os, const MergedSummary& summary);
 // and the merge interleaves them by the same (t, device, seq) key, holding
 // one line per input in a reused buffer. Because the key is total across
 // distinct device labels, merging sorted shards produces the same bytes as
-// one global merge_timelines over all the runs — this is what makes
-// sharded campaign timelines byte-identical to the in-memory path. Lines
+// one global merge_timelines over all the runs, at any shard size. Lines
 // without a finite "t" or a "device" string are dropped (same contract as
 // merge_timelines). Returns the number of lines written.
 std::size_t merge_sorted_timeline_streams(

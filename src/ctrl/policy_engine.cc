@@ -257,36 +257,4 @@ void PolicyEngine::add_counters(core::RunResult& out,
   out.add_counter(prefix + "extend_s", extend_s_total_);
 }
 
-void PolicyEngine::export_metrics(obs::MetricsRegistry& reg,
-                                  const std::string& prefix) const {
-  if (cfg_.policy.empty()) return;
-  double captures = 0, aborts = 0, reschedules = 0, extends = 0;
-  for (const Decision& d : decisions_) {
-    switch (d.action) {
-      case ActionKind::kCapture:
-        ++captures;
-        break;
-      case ActionKind::kAbort:
-        ++aborts;
-        break;
-      case ActionKind::kReschedule:
-        ++reschedules;
-        break;
-      case ActionKind::kExtend:
-        ++extends;
-        break;
-    }
-  }
-  reg.add_counter(prefix + "rules",
-                  static_cast<double>(cfg_.policy.rules.size()));
-  reg.add_counter(prefix + "decisions", static_cast<double>(decisions_.size()));
-  reg.add_counter(prefix + "captures", captures);
-  reg.add_counter(prefix + "capture_packets",
-                  static_cast<double>(capture_packets_));
-  reg.add_counter(prefix + "aborts", aborts);
-  reg.add_counter(prefix + "reschedules", reschedules);
-  reg.add_counter(prefix + "extends", extends);
-  reg.add_counter(prefix + "extend_s", extend_s_total_);
-}
-
 }  // namespace qoed::ctrl

@@ -119,8 +119,6 @@ class PolicyEngine final : public core::CollectorSink {
   // policy-free runs keep byte-identical artifacts).
   void add_counters(core::RunResult& out,
                     const std::string& prefix = "ctrl.") const;
-  void export_metrics(obs::MetricsRegistry& reg,
-                      const std::string& prefix = "ctrl.") const;
 
  private:
   double finding_value(Subject subject, const diag::Finding& f) const;

@@ -179,14 +179,11 @@ class DiagnosisEngine : public core::CollectorSink {
 
   // Report surface: one row per finding.
   core::Table findings_table() const;
-  // Campaign surface: finding counts and energy totals as
+  // Metrics surface: finding counts and energy totals as
   // "<prefix><name>" counters, plus a per-window total-latency histogram
   // (`<prefix>window_total_s`) in the run's registry.
   void add_counters(core::RunResult& out,
                     const std::string& prefix = "diag.") const;
-  // Registry surface for the non-campaign path: same keys and histogram.
-  void export_metrics(obs::MetricsRegistry& reg,
-                      const std::string& prefix = "diag.") const;
 
   // Observability: one async span per diagnosis window (cat "diag", named
   // after the UI action) from the behavior event to the moment the stream

@@ -385,24 +385,6 @@ void FaultInjector::add_counters(core::RunResult& out,
   }
 }
 
-void FaultInjector::export_metrics(obs::MetricsRegistry& reg,
-                                   const std::string& prefix) const {
-  for (core::Layer layer :
-       {core::kLayerUi, core::kLayerPacket, core::kLayerRadio}) {
-    if (!plan_.layer(layer).any()) continue;
-    const LaneCounters c = counters(layer);
-    const std::string base = prefix + core::to_string(layer) + ".";
-    reg.add_counter(base + "offered", static_cast<double>(c.offered));
-    reg.add_counter(base + "delivered", static_cast<double>(c.delivered));
-    reg.add_counter(base + "dropped", static_cast<double>(c.dropped));
-    reg.add_counter(base + "duplicated", static_cast<double>(c.duplicated));
-    reg.add_counter(base + "delayed", static_cast<double>(c.delayed));
-    reg.add_counter(base + "truncated", static_cast<double>(c.truncated));
-    reg.add_counter(base + "blacked_out", static_cast<double>(c.blacked_out));
-    reg.add_counter(base + "retimed", static_cast<double>(c.retimed));
-  }
-}
-
 std::unique_ptr<FaultInjector> install_from_env(core::QoeDoctor& doctor,
                                                 std::uint64_t seed_hint) {
   const char* plan_text = std::getenv("QOED_FAULT_PLAN");

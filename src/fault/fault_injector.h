@@ -92,13 +92,10 @@ class FaultInjector {
   LaneCounters counters(core::Layer layer) const;
   // One row per layer with any fault configured.
   core::Table counters_table() const;
-  // Campaign surface: "<prefix><layer>.<offered|delivered|...>" for each
+  // Metrics surface: "<prefix><layer>.<offered|delivered|...>" for each
   // layer with any fault configured.
   void add_counters(core::RunResult& out,
                     const std::string& prefix = "fault.") const;
-  // Registry surface for the non-campaign path: same keys, same values.
-  void export_metrics(obs::MetricsRegistry& reg,
-                      const std::string& prefix = "fault.") const;
 
  private:
   struct Impl;

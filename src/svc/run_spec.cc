@@ -281,10 +281,16 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
   core::JsonLiteParser p(json);
   if (!p.enter_object()) return fail("spec: expected a JSON object");
   *out = ScenarioSpec{};
+  // Count fields record the top of their range, so a rejection names it.
+  long max_count = -1;
+  const auto count = [&](long max, long* field) {
+    max_count = max;
+    return p.read_count(max, field);
+  };
   std::string key;
   while (p.next_key(&key)) {
     bool parsed = true;
-    double num = 0;
+    max_count = -1;
     if (key == "scenario") {
       parsed = p.read_string(&out->scenario);
     } else if (key == "network") {
@@ -292,22 +298,17 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
     } else if (key == "seed") {
       parsed = p.read_uint64(&out->seed);
     } else if (key == "pages") {
-      parsed = p.read_number(&num);
-      out->pages = static_cast<long>(num);
+      parsed = count(kMaxCount, &out->pages);
     } else if (key == "think") {
-      parsed = p.read_number(&num);
-      out->think_s = static_cast<long>(num);
+      parsed = count(kMaxThinkS, &out->think_s);
     } else if (key == "kind") {
       parsed = p.read_string(&out->kind);
     } else if (key == "reps") {
-      parsed = p.read_number(&num);
-      out->reps = static_cast<long>(num);
+      parsed = count(kMaxCount, &out->reps);
     } else if (key == "videos") {
-      parsed = p.read_number(&num);
-      out->videos = static_cast<long>(num);
+      parsed = count(kMaxCount, &out->videos);
     } else if (key == "throttle") {
-      parsed = p.read_number(&num);
-      out->throttle_kbps = static_cast<long>(num);
+      parsed = count(kMaxThrottleKbps, &out->throttle_kbps);
     } else if (key == "mechanism") {
       parsed = p.read_string(&out->mechanism);
     } else if (key == "arrival") {
@@ -322,8 +323,12 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
       parsed = p.skip_value();  // "cmd", "id", future extensions
     }
     if (!parsed) {
-      return fail("spec: malformed value for \"" + key + "\" at byte " +
-                  std::to_string(p.offset()));
+      const std::string at = " at byte " + std::to_string(p.offset());
+      if (max_count >= 0) {
+        return fail("spec: \"" + key + "\" must be an integer in [0, " +
+                    std::to_string(max_count) + "]" + at);
+      }
+      return fail("spec: malformed value for \"" + key + "\"" + at);
     }
   }
   if (!one_of(out->scenario, {"pageload", "post", "video"})) {

@@ -196,6 +196,53 @@ TEST(SharedCellRun, SpecJsonRoundTrip) {
       &parsed, &error));
 }
 
+// Count fields (cell-level and per device) take an integer in [0, bound];
+// anything else is rejected with the field and the value's byte offset.
+TEST(SharedCellRun, SpecCountFieldsAreBoundedIntegers) {
+  const std::string devices = "\"devices\":[{\"app\":\"browser\"}]";
+  struct Field {
+    std::string head;  // JSON up to the value
+    std::string tail;  // JSON after it
+    std::string name;
+    long max;
+  };
+  const std::vector<Field> fields = {
+      {"{\"throttle\":", "," + devices + "}", "throttle",
+       CellScenarioSpec::kMaxThrottleKbps},
+      {"{\"grants\":", "," + devices + "}", "grants",
+       CellScenarioSpec::kMaxGrants},
+      {"{\"promo_ms\":", "," + devices + "}", "promo_ms",
+       CellScenarioSpec::kMaxPromotionPenaltyMs},
+      {"{\"devices\":[{\"app\":\"video\",\"actions\":", "}]}", "actions",
+       CellScenarioSpec::kMaxActions},
+      {"{\"devices\":[{\"think\":", "}]}", "think",
+       CellScenarioSpec::kMaxThinkS}};
+  CellScenarioSpec parsed;
+  std::string error;
+  for (const Field& f : fields) {
+    for (const std::string& bad :
+         {std::string("1e300"), std::string("-5"), std::string("0.5"),
+          std::string("nan"), std::to_string(f.max + 1)}) {
+      EXPECT_FALSE(
+          CellScenarioSpec::parse_json(f.head + bad + f.tail, &parsed, &error))
+          << f.name << "=" << bad;
+      EXPECT_EQ(error, "cell spec: \"" + f.name +
+                           "\" must be an integer in [0, " +
+                           std::to_string(f.max) + "] at byte " +
+                           std::to_string(f.head.size()))
+          << f.name << "=" << bad;
+    }
+    EXPECT_TRUE(CellScenarioSpec::parse_json(
+        f.head + std::to_string(f.max) + f.tail, &parsed, &error))
+        << f.name << ": " << error;
+  }
+  // A malformed non-count device value still carries its location.
+  const std::string bad_app = "{\"devices\":[{\"app\":7}]}";
+  EXPECT_FALSE(CellScenarioSpec::parse_json(bad_app, &parsed, &error));
+  EXPECT_EQ(error, "cell spec: malformed device value for \"app\" at byte " +
+                       std::to_string(bad_app.find('7')));
+}
+
 TEST(SharedCellRun, InvalidSpecThrows) {
   CellScenarioSpec spec;
   spec.devices.clear();

@@ -288,6 +288,37 @@ TEST(PolicyEngine, PolicyFreeRunsCarryNoCtrlSurface) {
   EXPECT_FALSE(r.reschedule_requested);
 }
 
+// The write-through contract the single metrics emitter relies on: every
+// RunResult::counters entry of a diagnosed run with a fault plan and a
+// policy is a registry counter with the same value, for every component
+// family that emits one (collector, diag, rlc, fault, ctrl, flow).
+TEST(PolicyEngine, RunCountersWriteThroughToTheRegistry) {
+  svc::ScenarioSpec spec;
+  spec.scenario = "post";
+  spec.reps = 3;
+  spec.seed = 31;
+  spec.fault_plan = "packet:drop=0.02;radio:drop=0.01";
+  spec.fault_seed = 5;
+  spec.policy = "on finding.confidence<0.99: capture";
+  const core::RunResult r = svc::run_scenario(spec);
+  ASSERT_TRUE(r.ok) << r.error;
+  const auto& registry = r.registry.counters();
+  for (const auto& [name, value] : r.counters) {
+    const auto it = registry.find(name);
+    ASSERT_NE(it, registry.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+  }
+  for (const std::string family :
+       {"collector.", "diag.", "rlc.", "fault.packet.", "fault.radio.",
+        "ctrl.", "flow."}) {
+    bool seen = false;
+    for (const auto& [name, value] : r.counters) {
+      seen = seen || name.rfind(family, 0) == 0;
+    }
+    EXPECT_TRUE(seen) << family;
+  }
+}
+
 TEST(PolicyEngine, SpecJsonRoundTripsPolicyAndRejectsBadPolicy) {
   svc::ScenarioSpec spec;
   spec.scenario = "post";

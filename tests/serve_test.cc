@@ -124,6 +124,28 @@ TEST(Serve, RejectsMalformedInput) {
   EXPECT_EQ(count_containing(lines, "\"shutdown\":true,\"runs\":0"), 1u);
 }
 
+// Out-of-range counts are refused at submit time, with the field and the
+// value's byte offset, and nothing is scheduled: a run must never start
+// from a count that cannot be represented or is negative.
+TEST(Serve, SubmitRejectsOutOfRangeCountsWithTheirLocation) {
+  const std::string head =
+      "{\"cmd\":\"submit\",\"scenario\":\"pageload\",\"pages\":";
+  std::istringstream in(head + "1e300}\n" + head + "-5}\n" +
+                        "{\"cmd\":\"status\"}\n{\"cmd\":\"shutdown\"}\n");
+  std::ostringstream out;
+  ServeEngine engine(in, out, ServeOptions{});
+  EXPECT_EQ(engine.run(), 0);
+  const std::vector<std::string> lines = lines_of(out.str());
+  EXPECT_EQ(count_containing(lines,
+                             "{\"ok\":false,\"error\":\"spec: \\\"pages\\\" "
+                             "must be an integer in [0, 10000] at byte " +
+                                 std::to_string(head.size()) + "\"}"),
+            2u)
+      << out.str();
+  EXPECT_EQ(count_containing(lines, "\"submitted\":0,\"committed\":0"), 1u);
+  EXPECT_EQ(count_containing(lines, "\"shutdown\":true,\"runs\":0"), 1u);
+}
+
 // The determinism contract: serve commits runs through the same sink and
 // seeds runs from the spec itself, so a serve session and a batch fleet
 // over the same spec list leave byte-identical shard directories.
@@ -279,6 +301,47 @@ TEST(ScenarioSpec, JsonRoundTripAndValidation) {
       &error))
       << error;
   EXPECT_EQ(parsed.scenario, "pageload");
+}
+
+// Every count field takes an integer in [0, its bound]. Non-finite,
+// negative, fractional and oversized values are rejected with the field,
+// the accepted range and the byte offset of the value.
+TEST(ScenarioSpec, CountFieldsAreBoundedIntegers) {
+  const std::vector<std::pair<std::string, long>> fields = {
+      {"pages", ScenarioSpec::kMaxCount},
+      {"think", ScenarioSpec::kMaxThinkS},
+      {"reps", ScenarioSpec::kMaxCount},
+      {"videos", ScenarioSpec::kMaxCount},
+      {"throttle", ScenarioSpec::kMaxThrottleKbps}};
+  ScenarioSpec parsed;
+  std::string error;
+  for (const auto& [field, max] : fields) {
+    const std::string head =
+        "{\"scenario\":\"video\",\"" + field + "\":";
+    for (const std::string& bad :
+         {std::string("1e300"), std::string("-5"), std::string("2.5"),
+          std::string("-0.5"), std::string("1e400"), std::string("nan"),
+          std::string("inf"), std::to_string(max + 1), std::string("\"7\"")}) {
+      EXPECT_FALSE(ScenarioSpec::parse_json(head + bad + "}", &parsed, &error))
+          << field << "=" << bad;
+      EXPECT_EQ(error, "spec: \"" + field + "\" must be an integer in [0, " +
+                           std::to_string(max) + "] at byte " +
+                           std::to_string(head.size()))
+          << field << "=" << bad;
+    }
+    for (const auto& [good, value] :
+         {std::pair<std::string, long>{"0", 0}, {"-0", 0}, {"4.0", 4},
+          {std::to_string(max), max}}) {
+      ASSERT_TRUE(ScenarioSpec::parse_json(head + good + "}", &parsed, &error))
+          << field << "=" << good << ": " << error;
+      const long got = field == "pages"   ? parsed.pages
+                       : field == "think" ? parsed.think_s
+                       : field == "reps"  ? parsed.reps
+                       : field == "videos" ? parsed.videos
+                                           : parsed.throttle_kbps;
+      EXPECT_EQ(got, value) << field << "=" << good;
+    }
+  }
 }
 
 }  // namespace
