@@ -560,16 +560,17 @@ bool read_file(const std::string& path, std::string* out) {
 void print_reaction_outcomes(const Options& opt) {
   const std::string shards = opt.get("shards", "");
   if (shards.empty()) return;
-  const std::map<std::string, core::RunOutcomeCounts> outcomes =
+  const std::map<std::string, core::RunOutcome> outcomes =
       core::read_run_outcomes(shards);
   std::size_t rescheduled = 0;
   std::size_t quarantined = 0;
-  for (const auto& [device, c] : outcomes) {
-    rescheduled += c.rescheduled;
-    quarantined += c.quarantined;
-    if (c.rescheduled == 0 && c.quarantined == 0) continue;
+  for (const auto& [device, o] : outcomes) {
+    const std::size_t q = o.ok ? 0 : 1;
+    rescheduled += o.reschedules;
+    quarantined += q;
+    if (o.reschedules == 0 && q == 0) continue;
     std::printf("reactions %s: rescheduled=%zu quarantined=%zu\n",
-                device.c_str(), c.rescheduled, c.quarantined);
+                device.c_str(), o.reschedules, q);
   }
   std::printf("reactions total: %zu runs, rescheduled=%zu quarantined=%zu\n",
               outcomes.size(), rescheduled, quarantined);
@@ -773,7 +774,15 @@ int run_pop(const Options& opt) {
   pop::PopulationConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
   cfg.users = static_cast<std::size_t>(opt.get_int("users", 100));
-  cfg.days = static_cast<int>(opt.get_int("days", 1));
+  // Arrivals span the days drawn, so they must fit the spec's arrival
+  // bound or fleet/serve would reject the emitted specs.
+  const long max_days = svc::ScenarioSpec::kMaxArrivalS / 86400;
+  const long days = opt.get_int("days", 1);
+  if (days < 1 || days > max_days) {
+    std::printf("pop: --days must be in [1, %ld]\n", max_days);
+    return 2;
+  }
+  cfg.days = static_cast<int>(days);
   cfg.network = opt.get("network", "3g");
   cfg.throttle_kbps = opt.get_int("throttle", 0);
   cfg.mechanism = opt.get("mechanism", "shaping");
@@ -1143,6 +1152,11 @@ int run_top(const Options& opt) {
     committed = manifest.committed();
     std::ostringstream merged;
     core::ShardMetricsMergeSink(shards).write(merged);
+    if (!merged) {
+      std::printf("top: %s: a listed metrics shard is missing or "
+                  "malformed\n", shards.c_str());
+      return 1;
+    }
     if (!reg.merge_from_json(merged.str(), &error)) {
       std::printf("top: %s\n", error.c_str());
       return 1;

@@ -13,6 +13,7 @@
 #include "apps/web_server.h"
 #include "core/json_util.h"
 #include "core/qoe_doctor.h"
+#include "core/shard.h"
 #include "core/timeline_merge.h"
 #include "diag/diagnosis_engine.h"
 #include "diag/findings_sink.h"
@@ -49,35 +50,6 @@ void apply_throttle(const CellScenarioSpec& spec, net::ThrottleKind* kind,
   *kind = policing ? net::ThrottleKind::kPolicing : net::ThrottleKind::kShaping;
   *rate_bps = static_cast<double>(spec.throttle_kbps) * 1000;
   *burst_bytes = policing ? 8 * 1024 : 24 * 1024;
-}
-
-// Stamps every findings line with its device, mirroring the campaign shard
-// path's {"run":N,...} stamp (core/shard.cc).
-void stamp_device_findings(const std::string& device,
-                           std::string_view findings_jsonl, std::string* out) {
-  std::string stamp = "{\"device\":";
-  {
-    std::ostringstream os;
-    core::put_json_string(os, device);
-    stamp += os.str();
-  }
-  stamp += ',';
-  std::string_view rest = findings_jsonl;
-  while (!rest.empty()) {
-    const auto nl = rest.find('\n');
-    const std::string_view line = rest.substr(0, nl);
-    rest = nl == std::string_view::npos ? std::string_view{}
-                                        : rest.substr(nl + 1);
-    if (line.empty()) continue;
-    if (line.front() == '{') {
-      const std::string_view body = line.substr(1);
-      out->append(stamp, 0, body == "}" ? stamp.size() - 1 : stamp.size());
-      out->append(body);
-    } else {
-      out->append(line);
-    }
-    out->push_back('\n');
-  }
 }
 
 std::size_t count_lines(std::string_view s) {
@@ -314,7 +286,10 @@ core::RunResult run_cell_scenario(const CellScenarioSpec& spec) {
         diag::FindingsJsonlSink(*r.engine).to_string();
     out.add_counter("cell.device." + r.name + ".findings",
                     static_cast<double>(count_lines(dev_findings)));
-    stamp_device_findings(r.name, dev_findings, &findings);
+    std::ostringstream member;
+    member << "\"device\":";
+    core::put_json_string(member, r.name);
+    core::stamp_lines(member.str(), dev_findings, &findings);
     timelines.push_back(
         {r.name, core::TimelineJsonlSink(r.doctor->collector()).to_string()});
   }
@@ -354,18 +329,25 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
   core::JsonLiteParser p(json);
   if (!p.enter_object()) return fail("cell spec: expected a JSON object");
   *out = CellScenarioSpec{};
-  // Count fields record the top of their range, so a rejection names it.
-  long max_count = -1;
+  // Numeric fields record their range, so a rejection names it.
+  long range_max = -1;
+  const char* range_kind = "an integer";
   const auto count = [&](long max, long* field) {
-    max_count = max;
+    range_max = max;
+    range_kind = "an integer";
     return p.read_count(max, field);
+  };
+  const auto bounded = [&](long max, double* field) {
+    range_max = max;
+    range_kind = "a finite number";
+    return p.read_bounded(static_cast<double>(max), field);
   };
   const auto value_error = [&](const std::string& what,
                                const std::string& field) {
     const std::string at = " at byte " + std::to_string(p.offset());
-    if (max_count >= 0) {
-      return fail("cell spec: \"" + field + "\" must be an integer in [0, " +
-                  std::to_string(max_count) + "]" + at);
+    if (range_max >= 0) {
+      return fail("cell spec: \"" + field + "\" must be " + range_kind +
+                  " in [0, " + std::to_string(range_max) + "]" + at);
     }
     return fail("cell spec: malformed " + what + " for \"" + field + "\"" +
                 at);
@@ -373,7 +355,7 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
   std::string key;
   while (p.next_key(&key)) {
     bool parsed = true;
-    max_count = -1;
+    range_max = -1;
     if (key == "network") {
       parsed = p.read_string(&out->network);
     } else if (key == "seed") {
@@ -381,7 +363,7 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
     } else if (key == "use_cell") {
       parsed = p.read_bool(&out->use_cell);
     } else if (key == "capacity_kbps") {
-      parsed = p.read_number(&out->capacity_kbps);
+      parsed = bounded(kMaxCapacityKbps, &out->capacity_kbps);
     } else if (key == "throttle") {
       parsed = count(kMaxThrottleKbps, &out->throttle_kbps);
     } else if (key == "mechanism") {
@@ -402,11 +384,11 @@ bool CellScenarioSpec::parse_json(std::string_view json, CellScenarioSpec* out,
         std::string dkey;
         while (p.next_key(&dkey)) {
           bool dparsed = true;
-          max_count = -1;
+          range_max = -1;
           if (dkey == "app") {
             dparsed = p.read_string(&d.app);
           } else if (dkey == "arrival") {
-            dparsed = p.read_number(&d.arrival_s);
+            dparsed = bounded(kMaxArrivalS, &d.arrival_s);
           } else if (dkey == "actions") {
             dparsed = count(kMaxActions, &d.actions);
           } else if (dkey == "think") {

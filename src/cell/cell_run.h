@@ -59,19 +59,22 @@ struct CellScenarioSpec {
   static CellScenarioSpec uniform(const std::string& app, int n,
                                   double stagger_s = 1.0);
 
-  // Upper bounds on the count fields; parse_json accepts integers in
-  // [0, bound] only.
+  // Upper bounds on the numeric fields; parse_json accepts integers in
+  // [0, bound] for the counts and finite numbers in [0, bound] for
+  // capacity_kbps and devices[].arrival.
   static constexpr long kMaxActions = 10000;             // devices[].actions
   static constexpr long kMaxThinkS = 86400;              // devices[].think
   static constexpr long kMaxThrottleKbps = 10000000;     // throttle
   static constexpr long kMaxGrants = 10000;              // grants
   static constexpr long kMaxPromotionPenaltyMs = 600000;  // promo_ms
+  static constexpr long kMaxCapacityKbps = 10000000;     // capacity_kbps
+  static constexpr long kMaxArrivalS = 86400;            // devices[].arrival
 
   // Parses one spec from a JSON object line (canonical form below; unknown
   // keys ignored, missing keys keep defaults). False with *error set on
-  // malformed JSON, an invalid enum value / empty device list, or a count
-  // field that is not an integer within its bound (field and byte offset
-  // in *error).
+  // malformed JSON, an invalid enum value / empty device list, or a
+  // numeric field outside its range (field, range and byte offset in
+  // *error).
   static bool parse_json(std::string_view json, CellScenarioSpec* out,
                          std::string* error);
 

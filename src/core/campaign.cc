@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <thread>
 
 #include "core/shard.h"
@@ -156,22 +155,6 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
                           std::to_string(cfg.max_run_virtual_seconds) + "s)";
       }
       if (ex.result.ok || attempt >= cfg.max_retries) break;
-      if (cfg.retry_backoff.count() > 0) {
-        // Exponential backoff with deterministic jitter in [0.5, 1.5).
-        // Wall clock only — nothing here feeds back into results.
-        const double jitter =
-            0.5 + sim::Rng(spec.seed).fork("backoff").uniform();
-        const double scale =
-            static_cast<double>(1ULL << std::min<std::size_t>(attempt, 20)) *
-            jitter;
-        const auto sleep_t0 = std::chrono::steady_clock::now();
-        std::this_thread::sleep_for(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                cfg.retry_backoff * scale));
-        ex.backoff_wall_s += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - sleep_t0)
-                                 .count();
-      }
     }
     ex.reschedules = resched;
     // Reschedule applies to runs that completed with a policy verdict; a
@@ -185,45 +168,25 @@ RunExecution execute_run_with_policy(const CampaignConfig& cfg,
 
 namespace {
 
-void merge_runs(std::vector<RunResult>& results,
-                const std::vector<RunOutcome>& outcomes,
-                std::size_t cdf_points, bool build_trace,
-                CampaignResult* out) {
-  // Walk runs strictly in index order so the accumulation order (and thus
-  // every floating-point result) is independent of scheduling.
+// The in-memory mode's exact pooled summaries and CDFs, from the samples it
+// kept per clean run, walked in run-index order. They replace the sink's
+// streaming summaries of the same metrics.
+void exact_summaries(
+    const std::vector<std::map<std::string, std::vector<double>>>& samples,
+    std::size_t cdf_points, CampaignResult* out) {
   std::map<std::string, std::vector<double>> run_means;
-  CampaignOutcomeTotals totals;
-  out->trace.set_enabled(build_trace);
-  out->traces.resize(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    RunResult& r = results[i];
-    const RunOutcome& o = outcomes[i];
-    out->run_errors.push_back(r.ok ? "" : r.error);
-    out->run_attempts.push_back(o.attempts);
-    out->run_reschedules.push_back(o.reschedules);
-    totals.add(o);
-    out->traces[i] = std::move(r.trace);
-    // Campaign-spine rows, rebuilt here in index order: worker identity
-    // and completion order never reach the artifact.
-    if (build_trace) add_spine_run(out->trace, out->name, i, o);
-    if (!r.ok) {
-      out->quarantined.push_back({i, o.attempts, o.last_seed, r.error});
-      continue;
-    }
-    out->registry.merge_from(r.registry);
-    for (const auto& [name, samples] : r.samples) {
+  for (const auto& run : samples) {
+    for (const auto& [name, vals] : run) {
       MetricAggregate& agg = out->metrics[name];
-      agg.pooled_samples.insert(agg.pooled_samples.end(), samples.begin(),
-                                samples.end());
-      if (!samples.empty()) {
+      agg.pooled_samples.insert(agg.pooled_samples.end(), vals.begin(),
+                                vals.end());
+      if (!vals.empty()) {
         double sum = 0;
-        for (double v : samples) sum += v;
-        run_means[name].push_back(sum / static_cast<double>(samples.size()));
+        for (double v : vals) sum += v;
+        run_means[name].push_back(sum / static_cast<double>(vals.size()));
       }
     }
-    for (const auto& [name, v] : r.counters) out->counters[name] += v;
   }
-  totals.add_counters(out->registry);
   for (auto& [name, agg] : out->metrics) {
     agg.pooled = summarize(agg.pooled_samples);
     agg.per_run_means = summarize(run_means[name]);
@@ -259,23 +222,18 @@ CampaignResult Campaign::run(const RunFn& fn) {
     out.run_specs.push_back(std::move(spec));
   }
 
-  const bool sharded = !cfg_.shard.out_dir.empty();
-  // In-memory mode: workers write into disjoint slots of pre-sized vectors.
-  // Sharded mode: the sink orders and folds; the vectors stay empty.
-  std::vector<RunResult> results(sharded ? 0 : runs);
-  std::vector<RunOutcome> outcomes(sharded ? 0 : runs);
+  // Every mode commits through the sink; with an empty out_dir it folds in
+  // memory and writes nothing. What only the in-memory mode keeps is per
+  // run: the samples (exact pooled summaries and CDFs) and the trace.
+  const bool in_memory = cfg_.shard.out_dir.empty();
+  ShardedCampaignSink sink(cfg_.shard, cfg_.name, cfg_.master_seed, runs);
+  const std::size_t start = sink.committed();  // resume skips the prefix
+  std::vector<std::map<std::string, std::vector<double>>> samples(
+      in_memory ? runs : 0);
+  if (in_memory) out.traces.resize(runs);
   // Wall-clock profile slots, one per run (disjoint writes; folded into
   // last_profile_ after the join, in index order). Never enters `out`.
-  std::vector<double> run_wall(runs, 0), backoff_wall(runs, 0),
-      queue_wait(runs, 0);
-
-  std::unique_ptr<ShardedCampaignSink> sink;
-  std::size_t start = 0;
-  if (sharded) {
-    sink = std::make_unique<ShardedCampaignSink>(cfg_.shard, cfg_.name,
-                                                 cfg_.master_seed, runs);
-    start = sink->committed();  // resume skips the durable prefix
-  }
+  std::vector<double> run_wall(runs, 0), queue_wait(runs, 0);
 
   std::atomic<std::size_t> next{start};
   const auto t0 = std::chrono::steady_clock::now();
@@ -288,15 +246,11 @@ CampaignResult Campaign::run(const RunFn& fn) {
               .count();
       RunExecution ex = execute_run_with_policy(cfg_, fn, out.run_specs[i]);
       run_wall[i] = ex.run_wall_s;
-      backoff_wall[i] = ex.backoff_wall_s;
-      if (sharded) {
-        sink->submit(i, std::move(ex));
-      } else {
-        outcomes[i] = {ex.attempts, ex.reschedules, ex.last_seed,
-                       ex.result.ok, ex.result.virtual_seconds};
-        results[i] = std::move(ex.result);
-        results[i].artifacts = RunArtifacts{};  // only shards merge these
+      if (in_memory) {
+        out.traces[i] = std::move(ex.result.trace);
+        if (ex.result.ok) samples[i] = ex.result.samples;
       }
+      sink.submit(i, std::move(ex));
     }
   };
 
@@ -319,20 +273,14 @@ CampaignResult Campaign::run(const RunFn& fn) {
   for (std::size_t i = start; i < runs; ++i) {
     last_profile_.observe("prof.campaign.run_wall", run_wall[i]);
     last_profile_.observe("prof.campaign.queue_wait", queue_wait[i]);
-    if (backoff_wall[i] > 0) {
-      last_profile_.observe("prof.campaign.backoff_wall", backoff_wall[i]);
-    }
   }
   last_profile_.set_gauge("prof.campaign.total_wall", last_wall_seconds_);
   last_profile_.set_gauge("prof.campaign.jobs", static_cast<double>(jobs));
+  last_profile_.merge_from(sink.profile());
 
-  if (sharded) {
-    last_profile_.merge_from(sink->profile());
-    sink->finalize();  // throws on shard I/O failure — don't mask it
-    sink->fold_into(&out, cfg_.trace);
-    return out;
-  }
-  merge_runs(results, outcomes, cfg_.cdf_points, cfg_.trace, &out);
+  sink.finalize();  // throws on shard I/O failure — don't mask it
+  sink.fold_into(&out, cfg_.trace);
+  if (in_memory) exact_summaries(samples, cfg_.cdf_points, &out);
   return out;
 }
 

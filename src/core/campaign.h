@@ -12,13 +12,14 @@
 //   - per-run seeds derive from the campaign master seed and the run index
 //     only (Campaign::run_seed), never from thread identity or wall clock;
 //   - runs share nothing — no RNG, no event loop, no accumulators;
-//   - merging walks runs in index order, so floating-point accumulation
-//     order is fixed.
+//   - every run commits through one ShardedCampaignSink (core/shard.h),
+//     which folds runs strictly in index order, so floating-point
+//     accumulation order is fixed. In-memory and sharded campaigns differ
+//     only in the sink's out_dir.
 // Wall-clock time is deliberately kept OUT of CampaignResult (it would break
 // the bit-identical guarantee); read Campaign::last_wall_seconds() instead.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,7 +55,7 @@ struct RunSpec {
 // (unstamped) findings and timeline JSONL for that one run. Sharded mode
 // streams them into shard files, the one path the merged campaign-level
 // findings.jsonl / timeline.jsonl / captures.jsonl come from; in-memory
-// mode drops them.
+// mode drops them at commit.
 struct RunArtifacts {
   std::string findings_jsonl;  // FindingsJsonlSink::to_string() of this run
   std::string timeline_jsonl;  // TimelineJsonlSink::to_string() of this run
@@ -62,10 +63,6 @@ struct RunArtifacts {
   // line + packet lines per capture, see ctrl::PolicyEngine). Empty when no
   // policy fired a capture.
   std::string captures_jsonl;
-  bool empty() const {
-    return findings_jsonl.empty() && timeline_jsonl.empty() &&
-           captures_jsonl.empty();
-  }
 };
 
 // What one run hands back: named sample sets (e.g. latencies in seconds,
@@ -119,8 +116,8 @@ struct RunOutcome {
 };
 
 // The campaign.run_attempts / campaign.quarantined / campaign.rescheduled
-// registry counters: one fold for the in-memory merge, the shard sink's
-// fold_into and metrics_snapshot, and the merged metrics.json.
+// registry counters: one fold for the sink's fold_into and
+// metrics_snapshot and the merged metrics.json.
 struct CampaignOutcomeTotals {
   std::size_t attempts = 0;
   std::size_t quarantined = 0;
@@ -141,7 +138,9 @@ struct CampaignOutcomeTotals {
 void add_spine_run(obs::Tracer& trace, const std::string& campaign,
                    std::size_t run_index, const RunOutcome& run);
 
-// Cross-run aggregation of one named metric.
+// Cross-run aggregation of one named metric. In-memory campaigns fill every
+// field exactly; sharded ones keep O(shard) memory and leave
+// pooled_samples and cdf empty (see CampaignConfig::shard).
 struct MetricAggregate {
   // All samples pooled across runs, concatenated in run-index order.
   std::vector<double> pooled_samples;
@@ -222,8 +221,8 @@ struct CampaignResult {
 };
 
 // Sharded (constant-memory) campaign execution. When `out_dir` is set,
-// Campaign::run streams per-run findings/timeline/metrics JSONL into
-// bounded shard files under out_dir instead of pooling RunResults:
+// Campaign::run's sink streams per-run findings/timeline/metrics JSONL into
+// bounded shard files under out_dir:
 //   findings-NNNNNN.jsonl   stamped {"run":N,...} findings, run-index order
 //   timeline-NNNNNN.jsonl   stamped {"device":"run-N",...} lines, sorted by
 //                           the (t, device, seq) merge key
@@ -237,7 +236,7 @@ struct CampaignResult {
 // are byte-identical at any --jobs; the merged metrics.json also equals the
 // in-memory mode's MetricsJsonSink(CampaignResult::registry).
 struct CampaignShardConfig {
-  std::string out_dir;  // empty => in-memory mode (pool RunResults)
+  std::string out_dir;  // empty => in-memory mode (nothing written)
   std::size_t shard_bytes = 4u << 20;  // rotate when payload exceeds this
   std::size_t shard_runs = 0;          // also rotate every N runs (0 = off)
   // Adopt an existing MANIFEST.json in out_dir: replay closed shards into
@@ -257,10 +256,6 @@ struct CampaignConfig {
   // Extra attempts after a failed one; each retry reruns the factory with a
   // reseeded RunSpec. 0 = fail fast.
   std::size_t max_retries = 0;
-  // Base wall-clock backoff before retry k: base * 2^k, scaled by a
-  // deterministic jitter in [0.5, 1.5) drawn from the attempt seed. Wall
-  // clock only — never observable in CampaignResult. 0 = no backoff.
-  std::chrono::milliseconds retry_backoff{0};
   // Per-run virtual-time watchdog: a run reporting
   // RunResult::virtual_seconds beyond this is treated as failed (and
   // retried/quarantined like a thrown run). 0 = disabled.
@@ -286,8 +281,8 @@ struct CampaignConfig {
 };
 
 // Factory for one self-contained run (see RunFn below) executed through the
-// full per-run policy: retry loop with reseeded attempts, deterministic
-// exponential backoff, exception capture and the virtual-time watchdog.
+// full per-run policy: retry loop with reseeded attempts, exception capture
+// and the virtual-time watchdog.
 // Shared by Campaign::run's workers and the service-mode scheduler so both
 // paths fail/retry/quarantine identically.
 struct RunExecution {
@@ -295,16 +290,16 @@ struct RunExecution {
   std::size_t attempts = 0;     // attempts consumed, all rounds (1 = clean)
   std::size_t reschedules = 0;  // policy reschedule rounds consumed (0 = none)
   std::uint64_t last_seed = 0;  // seed of the final attempt
-  // Wall-clock profile (never enters deterministic artifacts).
-  double run_wall_s = 0;      // time inside the factory, all attempts
-  double backoff_wall_s = 0;  // time sleeping between attempts
+  // Wall-clock profile (never enters deterministic artifacts): time inside
+  // the factory, all attempts.
+  double run_wall_s = 0;
 };
 
 // Factory for one self-contained run. Must not touch state shared with other
 // runs; everything stochastic must derive from `seed` (== spec.seed).
 using RunFn = std::function<RunResult(std::uint64_t seed, const RunSpec&)>;
 
-// Executes ONE run through the campaign's retry/backoff/watchdog policy
+// Executes ONE run through the campaign's retry/watchdog policy
 // (only the policy fields of `cfg` are read). Seeds derive from
 // (base.master_seed, base.run_index, attempt) via Campaign::retry_seed, so
 // the outcome is deterministic regardless of which thread or process runs
@@ -343,10 +338,10 @@ class Campaign {
   // CampaignResult stays bit-identical across thread counts.
   double last_wall_seconds() const { return last_wall_seconds_; }
 
-  // Wall-clock profile of the most recent run() (`prof.campaign.*`
-  // histograms: queue-wait, per-run wall time, retry backoff; sharded runs
-  // add `prof.shard.commit_lock_wall`, the time each submit held the sink
-  // lock — see ShardedCampaignSink::profile). Like
+  // Wall-clock profile of the most recent run() (`prof.campaign.*`:
+  // queue-wait and per-run wall time histograms, total wall and jobs
+  // gauges; plus `prof.shard.commit_lock_wall`, the time each submit held
+  // the sink lock — see ShardedCampaignSink::profile). Like
   // last_wall_seconds(), kept OUT of CampaignResult so deterministic
   // artifacts never see the wall clock.
   const obs::MetricsRegistry& last_profile() const { return last_profile_; }

@@ -225,15 +225,27 @@ class JsonLiteParser {
     return true;
   }
 
-  // A count in [0, max]: spec sizes, durations and rates. Non-finite,
-  // negative, fractional or larger values are rejected (never cast), with
-  // the cursor left at the number so offset() locates it.
-  bool read_count(long max, long* out) {
+  // A finite number in [0, max]: arrival offsets and link capacities.
+  // NaN, infinities, negatives and larger values are rejected, with the
+  // cursor left at the number so offset() locates it.
+  bool read_bounded(double max, double* out) {
     skip_ws();
     const std::size_t start = pos_;
     double v = 0;
-    if (!read_number(&v)) return false;
-    if (!(v >= 0 && v <= static_cast<double>(max)) || v != std::floor(v)) {
+    if (!read_number(&v) || !(v >= 0 && v <= max)) {
+      pos_ = start;
+      return false;
+    }
+    *out = v;
+    return true;
+  }
+
+  // A count in [0, max]: spec sizes, durations and rates. Like
+  // read_bounded, and fractional values are rejected too (never cast).
+  bool read_count(long max, long* out) {
+    const std::size_t start = pos_;
+    double v = 0;
+    if (!read_bounded(static_cast<double>(max), &v) || v != std::floor(v)) {
       pos_ = start;
       return false;
     }

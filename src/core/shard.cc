@@ -112,10 +112,9 @@ bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
   return true;
 }
 
-void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
-                    std::string* out) {
-  const std::string stamp = "{\"run\":" + std::to_string(run_index) + ",";
-  std::string_view rest = findings_jsonl;
+void stamp_lines(std::string_view member, std::string_view jsonl,
+                 std::string* out) {
+  std::string_view rest = jsonl;
   while (!rest.empty()) {
     const auto nl = rest.find('\n');
     const std::string_view line = rest.substr(0, nl);
@@ -124,20 +123,15 @@ void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
     if (line.empty()) continue;
     if (line.front() == '{') {
       const std::string_view body = line.substr(1);
-      out->append(stamp, 0, body == "}" ? stamp.size() - 1 : stamp.size());
+      out->push_back('{');
+      out->append(member);
+      if (body != "}") out->push_back(',');
       out->append(body);
     } else {
-      out->append(line);  // non-object lines pass through unchanged
+      out->append(line);
     }
     out->push_back('\n');
   }
-}
-
-std::string stamp_timeline(std::size_t run_index,
-                           std::string_view timeline_jsonl) {
-  return stamp_and_sort_timeline("run-" + std::to_string(run_index),
-                                 timeline_jsonl)
-      .jsonl;
 }
 
 std::string encode_metrics_line(std::size_t run_index,
@@ -176,6 +170,117 @@ std::string encode_metrics_line(std::size_t run_index,
   r.registry.write_json(os);
   os << '}';
   return os.str();
+}
+
+bool decode_metrics_line(std::string_view line, MetricsLine* out,
+                         std::string* error) {
+  *out = MetricsLine{};
+  out->text = line;
+  JsonLiteParser p(line);
+  if (!p.enter_object()) {
+    *error = "expected an object at byte " + std::to_string(p.offset());
+    return false;
+  }
+  RunOutcome& o = out->outcome;
+  std::string key;
+  std::uint64_t u = 0;
+  while (p.next_key(&key)) {
+    bool parsed = true;
+    if (key == "run") {
+      parsed = p.read_uint64(&u);
+      out->run = static_cast<std::size_t>(u);
+    } else if (key == "attempts") {
+      parsed = p.read_uint64(&u);
+      o.attempts = static_cast<std::size_t>(u);
+    } else if (key == "resched") {
+      parsed = p.read_uint64(&u);
+      o.reschedules = static_cast<std::size_t>(u);
+    } else if (key == "seed") {
+      parsed = p.read_uint64(&o.last_seed);
+    } else if (key == "ok") {
+      parsed = p.read_bool(&o.ok);
+    } else if (key == "error") {
+      parsed = p.read_string(&out->error);
+    } else if (key == "virtual_s") {
+      parsed = p.read_number(&o.virtual_seconds);
+    } else if (key == "samples") {
+      parsed = p.raw_value(&out->samples);
+    } else if (key == "counters") {
+      parsed = p.raw_value(&out->counters);
+    } else if (key == "registry") {
+      parsed = p.raw_value(&out->registry);
+    } else {
+      parsed = p.skip_value();
+    }
+    if (!parsed) {
+      *error = "malformed value for \"" + key + "\" at byte " +
+               std::to_string(p.offset());
+      return false;
+    }
+  }
+  if (p.depth() != 0) {
+    *error = "malformed object at byte " + std::to_string(p.offset());
+    return false;
+  }
+  return true;
+}
+
+bool decode_run(const MetricsLine& line, RunExecution* out,
+                std::string* error) {
+  *out = RunExecution{};
+  out->attempts = line.outcome.attempts;
+  out->reschedules = line.outcome.reschedules;
+  out->last_seed = line.outcome.last_seed;
+  RunResult& r = out->result;
+  r.ok = line.outcome.ok;
+  r.error = line.error;
+  r.virtual_seconds = line.outcome.virtual_seconds;
+  // Locates a failed section parse within the whole line.
+  const auto fail = [&](const char* section, std::string_view text,
+                        std::size_t at) {
+    *error = "malformed value in \"" + std::string(section) + "\" at byte " +
+             std::to_string(static_cast<std::size_t>(
+                                text.data() - line.text.data()) +
+                            at);
+    return false;
+  };
+  {
+    JsonLiteParser p(line.samples);
+    bool parsed = p.enter_object();
+    std::string name;
+    double v = 0;
+    while (parsed && p.next_key(&name)) {
+      std::vector<double>& vals = r.samples[name];
+      parsed = p.enter_array();
+      while (parsed && p.array_next()) {
+        parsed = p.read_number(&v);
+        vals.push_back(v);
+      }
+      parsed = parsed && p.depth() == 1;
+    }
+    if (!parsed || p.depth() != 0) {
+      return fail("samples", line.samples, p.offset());
+    }
+  }
+  {
+    JsonLiteParser p(line.counters);
+    bool parsed = p.enter_object();
+    std::string name;
+    double v = 0;
+    while (parsed && p.next_key(&name)) {
+      parsed = p.read_number(&v);
+      r.counters[name] = v;
+    }
+    if (!parsed || p.depth() != 0) {
+      return fail("counters", line.counters, p.offset());
+    }
+  }
+  std::string reg_error;
+  if (!r.registry.merge_from_json(line.registry, &reg_error)) {
+    *error = "malformed value for \"registry\": " + reg_error;
+    return false;
+  }
+  return true;
 }
 
 // ---- ShardedCampaignSink ----
@@ -265,14 +370,20 @@ std::string ShardedCampaignSink::pending_path(std::size_t run_index) const {
 
 void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
   // Serialization and the per-byte timeline work (stamping every line with
-  // the run label and sorting) happen on the worker, outside the lock.
-  std::string metrics_line = encode_metrics_line(run_index, ex);
-  std::string findings = std::move(ex.result.artifacts.findings_jsonl);
-  std::string captures = std::move(ex.result.artifacts.captures_jsonl);
-  std::string timeline;
+  // the run's "run-N" label and sorting it, the per-run half of the
+  // timeline merge) happen on the worker, outside the lock.
+  Staged s;
+  s.ex = std::move(ex);
   {
-    const std::string raw = std::move(ex.result.artifacts.timeline_jsonl);
-    if (!cfg_.out_dir.empty()) timeline = stamp_timeline(run_index, raw);
+    // Moved out, not assigned over: assigning an empty string would keep
+    // the raw timeline's buffer alive until the run is committed.
+    const std::string raw = std::move(s.ex.result.artifacts.timeline_jsonl);
+    if (!cfg_.out_dir.empty()) {
+      s.line = encode_metrics_line(run_index, s.ex);
+      s.timeline =
+          stamp_and_sort_timeline("run-" + std::to_string(run_index), raw)
+              .jsonl;
+    }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -290,210 +401,118 @@ void ShardedCampaignSink::submit(std::size_t run_index, RunExecution&& ex) {
   } hold{profile_};
   if (run_index < frontier_) return;  // resume overlap; already durable
   if (run_index != frontier_) {
-    Pending p;
-    if (!cfg_.out_dir.empty()) {
-      // Spill out-of-order completions so memory stays O(shard budget)
-      // even when one slow run stalls the frontier.
-      std::ofstream os(pending_path(run_index),
-                       std::ios::binary | std::ios::trunc);
-      os << metrics_line.size() << ' ' << findings.size() << ' '
-         << timeline.size() << ' ' << captures.size() << '\n';
-      os.write(metrics_line.data(),
-               static_cast<std::streamsize>(metrics_line.size()));
-      os.write(findings.data(), static_cast<std::streamsize>(findings.size()));
-      os.write(timeline.data(), static_cast<std::streamsize>(timeline.size()));
-      os.write(captures.data(), static_cast<std::streamsize>(captures.size()));
-      if (os) {
-        p.spilled = true;
-      } else {  // disk trouble: keep it in memory rather than lose the run
-        p.metrics = std::move(metrics_line);
-        p.findings = std::move(findings);
-        p.timeline = std::move(timeline);
-        p.captures = std::move(captures);
-      }
+    // An out-of-order run waits in memory while the parked runs fit the
+    // shard budget and spills to a pending file past it, so memory stays
+    // O(shard budget) even when one slow run stalls the frontier. On disk
+    // trouble it stays in memory rather than being lost.
+    const RunArtifacts& a = s.ex.result.artifacts;
+    const std::size_t bytes = s.line.size() + s.timeline.size() +
+                              a.findings_jsonl.size() +
+                              a.captures_jsonl.size();
+    const auto [slot, fresh] = pending_.try_emplace(run_index);
+    if (!fresh) return;  // already waiting
+    Staged& p = slot->second;
+    if (!cfg_.out_dir.empty() && parked_bytes_ + bytes > cfg_.shard_bytes &&
+        spill_locked(run_index, s)) {
+      p.spilled = true;  // `s` and its buffers go when submit returns
     } else {
-      p.metrics = std::move(metrics_line);
-      p.findings = std::move(findings);
-      p.timeline = std::move(timeline);
-      p.captures = std::move(captures);
+      s.parked = bytes;
+      parked_bytes_ += bytes;
+      p = std::move(s);
     }
-    pending_.emplace(run_index, std::move(p));
     return;
   }
-  commit_locked(run_index, metrics_line, std::move(findings),
-                std::move(timeline), std::move(captures));
+  commit_locked(run_index, s);
   // Drain every spilled/parked successor the new frontier unblocks.
   for (auto it = pending_.find(frontier_); it != pending_.end();
        it = pending_.find(frontier_)) {
-    Pending p = std::move(it->second);
+    Staged p = std::move(it->second);
     pending_.erase(it);
-    const std::size_t idx = frontier_;
-    if (p.spilled) {
-      std::ifstream in(pending_path(idx), std::ios::binary);
-      std::size_t m = 0, f = 0, t = 0, c = 0;
-      in >> m >> f >> t >> c;
-      in.get();  // the '\n' after the header
-      p.metrics.resize(m);
-      p.findings.resize(f);
-      p.timeline.resize(t);
-      p.captures.resize(c);
-      in.read(p.metrics.data(), static_cast<std::streamsize>(m));
-      in.read(p.findings.data(), static_cast<std::streamsize>(f));
-      in.read(p.timeline.data(), static_cast<std::streamsize>(t));
-      in.read(p.captures.data(), static_cast<std::streamsize>(c));
-      if (!in) {
-        io_error_ = "shard: cannot read back " + pending_path(idx);
-        return;
-      }
-      std::error_code ec;
-      fs::remove(pending_path(idx), ec);
-    }
-    commit_locked(idx, p.metrics, std::move(p.findings), std::move(p.timeline),
-                  std::move(p.captures));
+    parked_bytes_ -= p.parked;
+    if (p.spilled && !unspill_locked(frontier_, &p)) return;
+    commit_locked(frontier_, p);
   }
 }
 
-bool ShardedCampaignSink::fold_metrics_line(std::string_view line,
-                                            ParsedOutcome* out,
-                                            std::string* error) {
-  JsonLiteParser p(line);
-  if (!p.enter_object()) {
-    *error = "expected an object at byte " + std::to_string(p.offset());
+bool ShardedCampaignSink::spill_locked(std::size_t run_index,
+                                       const Staged& s) {
+  const RunArtifacts& a = s.ex.result.artifacts;
+  const std::string* parts[] = {&s.line, &a.findings_jsonl, &s.timeline,
+                                &a.captures_jsonl};
+  std::ofstream os(pending_path(run_index), std::ios::binary | std::ios::trunc);
+  for (const std::string* part : parts) os << part->size() << ' ';
+  for (const std::string* part : parts) {
+    os.write(part->data(), static_cast<std::streamsize>(part->size()));
+  }
+  return static_cast<bool>(os);
+}
+
+bool ShardedCampaignSink::unspill_locked(std::size_t run_index, Staged* s) {
+  const std::string path = pending_path(run_index);
+  std::ifstream in(path, std::ios::binary);
+  std::string findings, captures;
+  std::string* parts[] = {&s->line, &findings, &s->timeline, &captures};
+  std::size_t sizes[4] = {};
+  for (std::size_t& n : sizes) in >> n;
+  in.get();  // the ' ' after the sizes
+  for (std::size_t i = 0; i < 4; ++i) {
+    parts[i]->resize(sizes[i]);
+    in.read(parts[i]->data(), static_cast<std::streamsize>(sizes[i]));
+  }
+  MetricsLine ml;
+  std::string error = "cannot read it back";
+  if (!in || !decode_metrics_line(s->line, &ml, &error) ||
+      !decode_run(ml, &s->ex, &error)) {
+    io_error_ = "shard: " + path + ": " + error;
     return false;
   }
-  std::string key;
-  std::uint64_t u = 0;
-  while (p.next_key(&key)) {
-    bool parsed = true;
-    if (key == "run") {
-      parsed = p.read_uint64(&u);
-      out->run = static_cast<std::size_t>(u);
-    } else if (key == "attempts") {
-      parsed = p.read_uint64(&u);
-      out->attempts = static_cast<std::size_t>(u);
-    } else if (key == "resched") {
-      parsed = p.read_uint64(&u);
-      out->reschedules = static_cast<std::size_t>(u);
-    } else if (key == "seed") {
-      parsed = p.read_uint64(&out->seed);
-    } else if (key == "ok") {
-      parsed = p.read_bool(&out->ok);
-    } else if (key == "error") {
-      parsed = p.read_string(&out->error);
-    } else if (key == "virtual_s") {
-      parsed = p.read_number(&out->virtual_seconds);
-    } else if (key == "samples") {
-      // Quarantined runs contribute nothing — same rule as the in-memory
-      // merge. "ok" precedes the payload sections in the line format.
-      if (!out->ok) {
-        parsed = p.skip_value();
-      } else {
-        parsed = p.enter_object();
-        std::string name;
-        double v = 0;
-        while (parsed && p.next_key(&name)) {
-          parsed = p.enter_array();
-          MetricAccum& acc = metrics_[name];
-          double sum = 0;
-          std::uint64_t count = 0;
-          while (parsed && p.array_next()) {
-            parsed = p.read_number(&v);
-            acc.pooled.add(v);
-            sum += v;
-            ++count;
-          }
-          if (count > 0) {
-            const double run_mean = sum / static_cast<double>(count);
-            acc.run_means.add(run_mean);
-            if (acc.mean_hist.counts.empty()) {
-              acc.mean_hist.bounds = obs::default_bounds();
-              acc.mean_hist.counts.assign(acc.mean_hist.bounds.size() + 1, 0);
-            }
-            acc.mean_hist.observe(std::llround(run_mean * 1e6));
-          }
-        }
-      }
-    } else if (key == "counters") {
-      if (!out->ok) {
-        parsed = p.skip_value();
-      } else {
-        parsed = p.enter_object();
-        std::string name;
-        double v = 0;
-        while (parsed && p.next_key(&name)) {
-          parsed = p.read_number(&v);
-          counters_[name] += v;
-        }
-      }
-    } else if (key == "registry") {
-      parsed = p.raw_value(&out->registry);
-      if (parsed && out->ok) {
-        parsed = registry_.merge_from_json(out->registry);
-      }
-    } else {
-      parsed = p.skip_value();
-    }
-    if (!parsed) {
-      *error = "malformed value for \"" + key + "\" at byte " +
-               std::to_string(p.offset());
-      return false;
-    }
-  }
-  if (p.depth() != 0) {
-    *error = "malformed object at byte " + std::to_string(p.offset());
-    return false;
-  }
+  std::error_code ec;
+  fs::remove(path, ec);
+  s->ex.result.artifacts.findings_jsonl = std::move(findings);
+  s->ex.result.artifacts.captures_jsonl = std::move(captures);
   return true;
 }
 
-void ShardedCampaignSink::record_locked(std::size_t run_index,
-                                        const ParsedOutcome& po) {
+void ShardedCampaignSink::fold_locked(std::size_t run_index,
+                                      const RunExecution& ex) {
+  const RunResult& r = ex.result;
   if (meta_.size() <= run_index) meta_.resize(run_index + 1);
   RunMeta& m = meta_[run_index];
-  m.outcome = {po.attempts, po.reschedules, po.seed, po.ok,
-               po.virtual_seconds};
-  m.error = po.ok ? std::string() : po.error;
+  m.outcome = {ex.attempts, ex.reschedules, ex.last_seed, r.ok,
+               r.virtual_seconds};
+  m.error = r.ok ? std::string() : r.error;
   totals_.add(m.outcome);
+  if (!r.ok) return;  // quarantined runs contribute nothing else
+  for (const auto& [name, vals] : r.samples) {
+    MetricAccum& acc = metrics_[name];
+    double sum = 0;
+    for (const double v : vals) {
+      acc.pooled.add(v);
+      sum += v;
+    }
+    if (vals.empty()) continue;
+    const double run_mean = sum / static_cast<double>(vals.size());
+    acc.run_means.add(run_mean);
+    run_mean_hists_.observe(name, run_mean);
+  }
+  for (const auto& [name, v] : r.counters) counters_[name] += v;
+  registry_.merge_from(r.registry);
 }
 
-void ShardedCampaignSink::commit_locked(std::size_t run_index,
-                                        const std::string& metrics_line,
-                                        std::string&& findings,
-                                        std::string&& timeline,
-                                        std::string&& captures) {
-  ParsedOutcome po;
-  std::string error;
-  if (!fold_metrics_line(metrics_line, &po, &error)) {
-    po = ParsedOutcome{};
-    po.run = run_index;
-    po.attempts = 1;
-    po.ok = false;
-    po.error = "shard: malformed metrics line: " + error;
-  }
-  record_locked(run_index, po);
-
+void ShardedCampaignSink::commit_locked(std::size_t run_index, Staged& s) {
+  fold_locked(run_index, s.ex);
+  const RunResult& r = s.ex.result;
   if (!cfg_.out_dir.empty()) {
-    stamp_findings(run_index, findings, &findings_buf_);
-    stamp_findings(run_index, captures, &captures_buf_);
-    metrics_buf_ += metrics_line;
+    const std::string member = "\"run\":" + std::to_string(run_index);
+    stamp_lines(member, r.artifacts.findings_jsonl, &findings_buf_);
+    stamp_lines(member, r.artifacts.captures_jsonl, &captures_buf_);
+    metrics_buf_ += s.line;
     metrics_buf_ += '\n';
   }
-  if (hook_) {
-    Commit c;
-    c.run_index = run_index;
-    c.attempts = po.attempts;
-    c.reschedules = po.reschedules;
-    c.last_seed = po.seed;
-    c.ok = po.ok;
-    c.error = po.error;
-    c.virtual_seconds = po.virtual_seconds;
-    c.findings_jsonl = findings;
-    c.registry_json = po.registry;
-    hook_(c);
-  }
-  if (!timeline.empty()) {
-    timeline_bytes_ += timeline.size();
-    timeline_runs_.push_back(std::move(timeline));
+  if (hook_) hook_(run_index, s.ex);
+  if (!s.timeline.empty()) {
+    timeline_bytes_ += s.timeline.size();
+    timeline_runs_.push_back(std::move(s.timeline));
   }
   ++frontier_;
 
@@ -576,23 +595,25 @@ void ShardedCampaignSink::replay_closed_shards() {
     }
     std::string line;
     std::string error;
+    MetricsLine ml;
+    RunExecution ex;
     for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
       if (line.empty()) continue;
       const std::string where =
           shard_path("metrics", info.index) + ":" + std::to_string(line_no);
-      ParsedOutcome po;
-      if (!fold_metrics_line(line, &po, &error)) {
+      if (!decode_metrics_line(line, &ml, &error) ||
+          !decode_run(ml, &ex, &error)) {
         throw std::runtime_error("shard resume: " + where + ": " + error);
       }
       // The manifest says which runs this shard holds; a run outside that
       // range is corruption, not a reason to grow the metadata table.
-      if (po.run < info.run_begin || po.run >= info.run_end) {
+      if (ml.run < info.run_begin || ml.run >= info.run_end) {
         throw std::runtime_error(
-            "shard resume: " + where + ": run " + std::to_string(po.run) +
+            "shard resume: " + where + ": run " + std::to_string(ml.run) +
             " outside the shard's range [" + std::to_string(info.run_begin) +
             ", " + std::to_string(info.run_end) + ")");
       }
-      record_locked(po.run, po);
+      fold_locked(ml.run, ex);
     }
   }
 }
@@ -668,7 +689,7 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
     agg.per_run_means = streaming_summary(
         acc.run_means.n, acc.run_means.mean, acc.run_means.m2,
         acc.run_means.min, acc.run_means.max,
-        acc.mean_hist.count > 0 ? &acc.mean_hist : nullptr);
+        run_mean_hists_.find_histogram(name));
   }
   out->trace.set_enabled(build_trace);
   if (build_trace) {
@@ -682,26 +703,52 @@ void ShardedCampaignSink::fold_into(CampaignResult* out,
 
 // ---- merged-artifact sinks ----
 
-void ShardFindingsMergeSink::write(std::ostream& os) const {
+namespace {
+
+// Reads out_dir's manifest; on failure marks `os` failed (the merge would
+// otherwise write an empty artifact over a real one).
+bool manifest_or_fail(const std::string& out_dir, ShardManifest* manifest,
+                      std::ostream& os) {
+  if (read_shard_manifest(out_dir, manifest)) return true;
+  os.setstate(std::ios::failbit);
+  return false;
+}
+
+// Concatenates the manifest-listed `kind` shards in order.
+void concat_shards(const std::string& out_dir, const char* kind,
+                   std::ostream& os) {
   ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) return;
+  if (!manifest_or_fail(out_dir, &manifest, os)) return;
   for (const ShardInfo& info : manifest.shards) {
-    std::ifstream in(shard_file(out_dir_, "findings", info.index),
-                     std::ios::binary);
+    std::ifstream in(shard_file(out_dir, kind, info.index), std::ios::binary);
+    if (!in) {
+      os.setstate(std::ios::failbit);
+      return;
+    }
     // Skip empty shards (runs with no findings): inserting a zero-length
-    // rdbuf would set failbit on `os` and abort the whole export.
-    if (in && in.peek() != std::char_traits<char>::eof()) os << in.rdbuf();
+    // rdbuf would set failbit on `os`.
+    if (in.peek() != std::char_traits<char>::eof()) os << in.rdbuf();
   }
+}
+
+}  // namespace
+
+void ShardFindingsMergeSink::write(std::ostream& os) const {
+  concat_shards(out_dir_, "findings", os);
 }
 
 void ShardTimelineMergeSink::write(std::ostream& os) const {
   ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) return;
+  if (!manifest_or_fail(out_dir_, &manifest, os)) return;
   std::vector<std::ifstream> files;
   files.reserve(manifest.shards.size());
   for (const ShardInfo& info : manifest.shards) {
     files.emplace_back(shard_file(out_dir_, "timeline", info.index),
                        std::ios::binary);
+    if (!files.back()) {
+      os.setstate(std::ios::failbit);
+      return;
+    }
   }
   std::vector<std::istream*> streams;
   streams.reserve(files.size());
@@ -710,44 +757,28 @@ void ShardTimelineMergeSink::write(std::ostream& os) const {
 }
 
 void ShardMetricsMergeSink::write(std::ostream& os) const {
+  ShardManifest manifest;
+  if (!manifest_or_fail(out_dir_, &manifest, os)) return;
   obs::MetricsRegistry registry;
   CampaignOutcomeTotals totals;
-  ShardManifest manifest;
-  if (read_shard_manifest(out_dir_, &manifest)) {
-    for (const ShardInfo& info : manifest.shards) {
-      std::ifstream in(shard_file(out_dir_, "metrics", info.index),
-                       std::ios::binary);
-      std::string line;
-      while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        JsonLiteParser p(line);
-        if (!p.enter_object()) continue;
-        std::string key;
-        bool ok = true;
-        std::uint64_t attempts = 0, reschedules = 0;
-        std::string_view reg;
-        bool parsed = true;
-        while (parsed && p.next_key(&key)) {
-          if (key == "attempts") {
-            parsed = p.read_uint64(&attempts);
-          } else if (key == "resched") {
-            parsed = p.read_uint64(&reschedules);
-          } else if (key == "ok") {
-            parsed = p.read_bool(&ok);
-          } else if (key == "registry") {
-            parsed = p.raw_value(&reg);
-          } else {
-            parsed = p.skip_value();
-          }
-        }
-        if (!parsed) continue;
-        RunOutcome run;
-        run.attempts = static_cast<std::size_t>(attempts);
-        run.reschedules = static_cast<std::size_t>(reschedules);
-        run.ok = ok;
-        totals.add(run);
-        if (ok && !reg.empty()) registry.merge_from_json(reg);
+  std::string line;
+  std::string error;
+  MetricsLine ml;
+  for (const ShardInfo& info : manifest.shards) {
+    std::ifstream in(shard_file(out_dir_, "metrics", info.index),
+                     std::ios::binary);
+    if (!in) {
+      os.setstate(std::ios::failbit);
+      return;
+    }
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      if (!decode_metrics_line(line, &ml, &error) ||
+          (ml.outcome.ok && !registry.merge_from_json(ml.registry))) {
+        os.setstate(std::ios::failbit);
+        return;
       }
+      totals.add(ml.outcome);
     }
   }
   totals.add_counters(registry);
@@ -756,47 +787,23 @@ void ShardMetricsMergeSink::write(std::ostream& os) const {
 }
 
 void ShardCapturesMergeSink::write(std::ostream& os) const {
-  ShardManifest manifest;
-  if (!read_shard_manifest(out_dir_, &manifest)) return;
-  for (const ShardInfo& info : manifest.shards) {
-    std::ifstream in(shard_file(out_dir_, "captures", info.index),
-                     std::ios::binary);
-    if (in && in.peek() != std::char_traits<char>::eof()) os << in.rdbuf();
-  }
+  concat_shards(out_dir_, "captures", os);
 }
 
-std::map<std::string, RunOutcomeCounts> read_run_outcomes(
+std::map<std::string, RunOutcome> read_run_outcomes(
     const std::string& out_dir) {
-  std::map<std::string, RunOutcomeCounts> out;
+  std::map<std::string, RunOutcome> out;
   ShardManifest manifest;
   if (!read_shard_manifest(out_dir, &manifest)) return out;
+  std::string line;
+  std::string error;
+  MetricsLine ml;
   for (const ShardInfo& info : manifest.shards) {
     std::ifstream in(shard_file(out_dir, "metrics", info.index),
                      std::ios::binary);
-    std::string line;
     while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      JsonLiteParser p(line);
-      if (!p.enter_object()) continue;
-      std::string key;
-      std::uint64_t run = 0, reschedules = 0;
-      bool ok = true;
-      bool parsed = true;
-      while (parsed && p.next_key(&key)) {
-        if (key == "run") {
-          parsed = p.read_uint64(&run);
-        } else if (key == "resched") {
-          parsed = p.read_uint64(&reschedules);
-        } else if (key == "ok") {
-          parsed = p.read_bool(&ok);
-        } else {
-          parsed = p.skip_value();
-        }
-      }
-      if (!parsed) continue;
-      RunOutcomeCounts& c = out["run-" + std::to_string(run)];
-      c.rescheduled = static_cast<std::size_t>(reschedules);
-      c.quarantined = ok ? 0 : 1;
+      if (line.empty() || !decode_metrics_line(line, &ml, &error)) continue;
+      out["run-" + std::to_string(ml.run)] = ml.outcome;
     }
   }
   return out;

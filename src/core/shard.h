@@ -1,13 +1,13 @@
 // Constant-memory sharded campaign execution (DESIGN.md §5g).
 //
-// The in-memory campaign pools every RunResult's samples and traces until
-// the final merge — O(runs) memory, fine for hundreds of runs, not for a
-// simulated metro fleet — and keeps no per-run artifacts. With
-// ShardedCampaignSink, workers stream each run's findings/timeline/metrics
-// JSONL into bounded shard files instead, rotated at a byte budget and
-// written atomically (tmp+rename) BEFORE the manifest records them, so a
-// killed campaign leaves a consistent prefix that a resume continues from.
-// The final artifacts come from an external merge over the shards:
+// ShardedCampaignSink is the one place campaign runs are folded. Every
+// campaign mode commits through it: Campaign::run (with or without an
+// out_dir), `qoed_cli fleet`, and `qoed_cli serve`. With an out_dir,
+// workers stream each run's findings/timeline/metrics JSONL into bounded
+// shard files, rotated at a byte budget and written atomically
+// (tmp+rename) BEFORE the manifest records them, so a killed campaign
+// leaves a consistent prefix that a resume continues from. The final
+// artifacts come from an external merge over the shards:
 //
 //   findings.jsonl  = concatenation of findings shards (run-index order)
 //   timeline.jsonl  = k-way merge of the per-shard (t, device, seq)-sorted
@@ -15,26 +15,20 @@
 //   metrics.json    = index-ordered fold of the per-run registry snapshots
 //                     (obs::MetricsRegistry::merge_from_json)
 //
-// Where the timeline work happens: submit() stamps each line of the run's
-// timeline with its "run-N" label and stable-sorts it by (t, seq) on the
-// calling worker, before it takes the sink lock (stamp_timeline). The lock
-// covers only commit ordering (and spilling out-of-order payloads), the
-// O(1)-per-run folds, and closing a shard: a shard holding one run writes
-// that run's bytes as they are, a shard holding several k-way merges them
-// (core::merge_stamped_timelines). prof.shard.commit_lock_wall in the
-// sink's profile() records how long each submit held the lock.
+// submit() encodes the metrics line and stamps and sorts the timeline on
+// the calling worker. The sink lock covers commit ordering (out-of-order
+// runs wait in memory up to the shard budget, in pending files past it),
+// the fold of the committed run's structured RunExecution, the
+// shard-close timeline merge and the shard writes; profile() records each
+// hold in prof.shard.commit_lock_wall.
 //
-// Determinism: runs are committed strictly in run-index order regardless of
-// worker completion order (out-of-order payloads spill to pending files, so
-// memory stays O(shard budget)); every fold happens at commit from the
-// serialized line bytes, and %.17g doubles round-trip exactly — so the
-// merged artifacts are byte-identical at any --jobs, and metrics.json
-// equals the in-memory campaign's registry snapshot. The shards are the
-// only source of merged findings/timeline/captures: the in-memory campaign
-// keeps no per-run artifacts.
-// The timeline merge is one stable per-run sort plus k-way merges by a key
-// that is total across runs, so its bytes do not depend on how runs are
-// grouped into shards either.
+// Determinism: runs commit strictly in run-index order and every fold walks
+// them in that order. A run whose only copy is bytes (spilled, or replayed
+// on resume) is decoded first; %.17g doubles and uint64 seeds round-trip,
+// so it folds to the same bits as the live run. Merged artifacts are
+// byte-identical at any --jobs, metrics.json equals an in-memory
+// campaign's registry, and the timeline merge (a per-run sort plus k-way
+// merges by a key total across runs) does not depend on shard layout.
 #pragma once
 
 #include <cstddef>
@@ -83,46 +77,52 @@ struct ShardManifest {
 bool read_shard_manifest(const std::string& out_dir, ShardManifest* out,
                          std::string* error = nullptr);
 
-// Stamps one run's raw findings JSONL with its run index, turning
-// {"i":0,...} into {"run":7,"i":0,...} — the transformation the merged
-// findings and captures artifacts apply to every run.
-void stamp_findings(std::size_t run_index, std::string_view findings_jsonl,
-                    std::string* out);
-
-// Stamps one run's raw timeline with its "run-N" label and stable-sorts it
-// by (t, seq) (core::stamp_and_sort_timeline), dropping malformed lines —
-// the per-run half of the timeline merge.
-std::string stamp_timeline(std::size_t run_index,
-                           std::string_view timeline_jsonl);
+// Stamps each object line of `jsonl` with a leading member, turning
+// {"i":0,...} into {<member>,"i":0,...}: "run":7 for the merged findings
+// and captures artifacts, "device":"dev-0001" for a cell's findings.
+// Non-object lines pass through unchanged.
+void stamp_lines(std::string_view member, std::string_view jsonl,
+                 std::string* out);
 
 // One metrics-shard line: the run's identity, outcome, samples, counters
-// and registry snapshot. This line is the unit of both the aggregate fold
-// and crash recovery — resume replays closed metrics shards through the
-// same fold that live commits use.
+// and registry snapshot. Resume, spills and the merge sinks read it back.
 std::string encode_metrics_line(std::size_t run_index, const RunExecution& ex);
+
+// A decoded metrics line: the header fields, plus raw views of the three
+// payload sections so each reader parses only the sections it uses.
+struct MetricsLine {
+  std::string_view text;  // the whole line
+  std::size_t run = 0;
+  RunOutcome outcome;  // attempts, resched, seed, ok, virtual_s
+  std::string error;
+  std::string_view samples = "{}", counters = "{}", registry = "{}";
+};
+
+// The one parser of the metrics-line format. False on malformed input,
+// with *error naming the field and its byte offset in the line.
+bool decode_metrics_line(std::string_view line, MetricsLine* out,
+                         std::string* error);
+
+// Parses a decoded line's samples, counters and registry sections into
+// *out (result fields plus attempts/reschedules/last_seed) — the inverse
+// of encode_metrics_line. False with a located *error on malformed input.
+bool decode_run(const MetricsLine& line, RunExecution* out,
+                std::string* error);
 
 // Thread-safe streaming sink for campaign runs. Workers submit completed
 // RunExecutions in any order; the sink commits them strictly in run-index
 // order, folding aggregates and buffering artifact bytes until the open
 // shard exceeds its budget and rotates to disk. With an empty out_dir it
-// degrades to an in-memory ordering/fold stage (used by `qoed_cli serve`
-// without an artifact directory).
+// is an in-memory ordering/fold stage: no line is encoded and nothing is
+// written (the in-memory Campaign and `qoed_cli serve` without an
+// artifact directory).
 class ShardedCampaignSink {
  public:
-  // What a commit hook observes — fired under the sink lock, strictly in
-  // run-index order. Views borrow from the commit in flight; copy to keep.
-  struct Commit {
-    std::size_t run_index = 0;
-    std::size_t attempts = 0;
-    std::size_t reschedules = 0;  // ctrl-policy reschedule rounds consumed
-    std::uint64_t last_seed = 0;
-    bool ok = true;
-    std::string_view error;
-    double virtual_seconds = 0;
-    std::string_view findings_jsonl;  // raw (unstamped) findings lines
-    std::string_view registry_json;   // this run's registry snapshot
-  };
-  using CommitHook = std::function<void(const Commit&)>;
+  // Observes each commit — fired under the sink lock, strictly in
+  // run-index order, with the run index and the run in flight (its
+  // registry and raw, unstamped findings included); copy to keep.
+  using CommitHook =
+      std::function<void(std::size_t run_index, const RunExecution& run)>;
 
   // Creates out_dir if needed. With cfg.resume and a matching manifest,
   // replays the closed shards into the aggregates and continues at the
@@ -181,34 +181,24 @@ class ShardedCampaignSink {
     void add(double v);
   };
   struct MetricAccum {
-    Welford pooled;               // every sample, folded in run-index order
-    Welford run_means;            // one entry per contributing run
-    obs::MetricsRegistry::Histogram mean_hist;  // percentiles of run means
+    Welford pooled;     // every sample, folded in run-index order
+    Welford run_means;  // one entry per contributing run
   };
-  struct ParsedOutcome {
-    std::size_t run = 0;
-    std::size_t attempts = 0;
-    std::size_t reschedules = 0;
-    std::uint64_t seed = 0;
-    bool ok = true;
-    std::string error;
-    double virtual_seconds = 0;
-    std::string_view registry;  // raw section within the line
-  };
-  struct Pending {
-    bool spilled = false;  // payload lives in pending file, not here
-    std::string metrics, findings, timeline, captures;
+  // A run between submit() and its commit; line and timeline are only
+  // encoded when sharding to disk.
+  struct Staged {
+    RunExecution ex;
+    std::string line, timeline;
+    bool spilled = false;  // everything lives in the pending file instead
+    std::size_t parked = 0;  // artifact bytes counted in parked_bytes_
   };
 
-  // Folds one metrics line into the aggregates; on malformed input returns
-  // false with *error naming the field and byte offset.
-  bool fold_metrics_line(std::string_view line, ParsedOutcome* out,
-                         std::string* error);
-  // Records a folded run's outcome in meta_ and the campaign.* totals.
-  void record_locked(std::size_t run_index, const ParsedOutcome& po);
-  void commit_locked(std::size_t run_index, const std::string& metrics_line,
-                     std::string&& findings, std::string&& timeline,
-                     std::string&& captures);
+  // Folds one run's outcome, and its samples, counters and registry when
+  // it is clean, into the aggregates.
+  void fold_locked(std::size_t run_index, const RunExecution& ex);
+  void commit_locked(std::size_t run_index, Staged& s);
+  bool spill_locked(std::size_t run_index, const Staged& s);
+  bool unspill_locked(std::size_t run_index, Staged* s);  // false on I/O error
   void close_shard_locked();
   void write_manifest_locked();
   std::string shard_path(const char* kind, std::size_t index) const;
@@ -222,12 +212,13 @@ class ShardedCampaignSink {
   // First shard I/O failure; sticky. Writes stop extending the manifest and
   // finalize() rethrows it on the caller's thread (workers must not throw).
   std::string io_error_;
-  std::map<std::size_t, Pending> pending_;
+  std::map<std::size_t, Staged> pending_;
+  std::size_t parked_bytes_ = 0;  // artifact bytes of in-memory pending_
   CommitHook hook_;
 
   // Open-shard buffers (bounded by the rotation budget).
   std::string findings_buf_, metrics_buf_, captures_buf_;
-  std::vector<std::string> timeline_runs_;  // stamp_timeline output per run
+  std::vector<std::string> timeline_runs_;  // stamped timeline per run
   std::size_t timeline_bytes_ = 0;
   std::size_t shard_run_begin_ = 0;
 
@@ -236,6 +227,7 @@ class ShardedCampaignSink {
   obs::MetricsRegistry registry_;
   std::map<std::string, double> counters_;
   std::map<std::string, MetricAccum> metrics_;
+  obs::MetricsRegistry run_mean_hists_;  // per-run means, for percentiles
   std::vector<RunMeta> meta_;
   CampaignOutcomeTotals totals_;
 
@@ -244,7 +236,11 @@ class ShardedCampaignSink {
 
 // ---- merged-artifact sinks over a shard directory ----
 // Each reads MANIFEST.json at write() time and merges only manifest-listed
-// shards, so stale files from an interrupted run are never consulted.
+// shards, so stale files from an interrupted run are never consulted. A
+// merge never thins its artifact: a missing manifest, a listed shard that
+// cannot be read, or a malformed metrics line sets failbit on the stream,
+// so write_file returns false and leaves the previous file in place.
+// Empty shards are valid.
 
 class ShardFindingsMergeSink final : public ExportSink {
  public:
@@ -292,14 +288,10 @@ class ShardCapturesMergeSink final : public ExportSink {
   std::string out_dir_;
 };
 
-// Per-run rescheduled/quarantined reaction counts, read back from a shard
-// directory's manifest-listed metrics lines. Keyed "run-N" — the label the
-// merged timeline/findings use — so fleet rollups can join on it.
-struct RunOutcomeCounts {
-  std::size_t rescheduled = 0;
-  std::size_t quarantined = 0;  // 0 or 1 per run
-};
-std::map<std::string, RunOutcomeCounts> read_run_outcomes(
-    const std::string& out_dir);
+// Per-run outcomes (reschedules, quarantine, ...) read back from a shard
+// directory's manifest-listed metrics lines (malformed ones are skipped).
+// Keyed "run-N" — the label the merged timeline/findings use — so fleet
+// rollups can join on it.
+std::map<std::string, RunOutcome> read_run_outcomes(const std::string& out_dir);
 
 }  // namespace qoed::core

@@ -165,19 +165,32 @@ void merge_stamped_timelines(const std::vector<std::string_view>& inputs,
 
 StampedTimeline stamp_and_sort_timeline(std::string_view device,
                                         std::string_view jsonl) {
+  static constexpr std::string_view kLabeled = "{\"device\":\"";
   struct Line {
     double t = 0;
     std::uint64_t seq = 0;
-    std::string_view body;  // the line, without its opening '{'
+    std::string_view line;
+    // Offset of the closing quote of a label the line already carries
+    // (it leads with kLabeled); 0 = none.
+    std::uint32_t label_end = 0;
+
+    std::string_view label() const {
+      if (label_end == 0) return {};
+      return line.substr(kLabeled.size(), label_end - kLabeled.size());
+    }
   };
+  // The merge key within one input: every composed label starts with the
+  // input's, so ordering by the carried label orders by the composed one.
+  // Carried labels compare as written; generated labels have no escapes.
   const auto before = [](const Line& a, const Line& b) {
-    return std::tie(a.t, a.seq) < std::tie(b.t, b.seq);
+    return std::make_tuple(a.t, a.label(), a.seq) <
+           std::make_tuple(b.t, b.label(), b.seq);
   };
   StampedTimeline out;
   TimelineMergeStats& stats = out.stats;
   stats.device = std::string(device);
   std::vector<Line> lines;
-  std::size_t body_bytes = 0;
+  std::size_t line_bytes = 0;
   bool sorted = true;
   double prev_t = 0;
   bool have_prev = false;
@@ -197,24 +210,45 @@ StampedTimeline stamp_and_sort_timeline(std::string_view device,
       ++stats.malformed;
       continue;
     }
+    Line m{t, seq_key(line), line, 0};
+    // An already-labeled line (a merged cell timeline) keeps its label
+    // under the input's: {"device":"dev-0001",...} becomes
+    // {"device":"<input>/dev-0001",...}, one member, no duplicate key.
+    if (line.substr(0, kLabeled.size()) == kLabeled) {
+      std::size_t end = kLabeled.size();
+      while (end < line.size() && line[end] != '"') {
+        end += line[end] == '\\' ? 2 : 1;
+      }
+      if (end >= line.size()) {
+        ++stats.malformed;
+        continue;
+      }
+      m.label_end = static_cast<std::uint32_t>(end);
+    }
     if (have_prev && t < prev_t) ++stats.out_of_order;
     prev_t = std::max(prev_t, t);
     have_prev = true;
-    const Line m{t, seq_key(line), line.substr(1)};
     if (!lines.empty() && before(m, lines.back())) sorted = false;
-    body_bytes += m.body.size();
+    line_bytes += line.size();
     lines.push_back(m);
   }
   if (!sorted) std::stable_sort(lines.begin(), lines.end(), before);
 
   std::ostringstream label;
   put_json_string(label, stats.device);
-  const std::string stamp = "{\"device\":" + label.str();
-  out.jsonl.reserve(body_bytes + lines.size() * (stamp.size() + 2));
+  std::string stamp = "{\"device\":" + label.str();
+  stamp.pop_back();  // the closing quote follows any carried label
+  out.jsonl.reserve(line_bytes + lines.size() * (stamp.size() + 3));
   for (const Line& m : lines) {
     out.jsonl += stamp;
-    if (m.body != "}") out.jsonl += ',';
-    out.jsonl += m.body;
+    if (!m.label().empty()) {
+      out.jsonl += '/';
+      out.jsonl += m.label();
+    }
+    out.jsonl += '"';
+    const std::string_view body = m.line.substr(m.label_end + 1);
+    if (m.label_end == 0 && body != "}") out.jsonl += ',';
+    out.jsonl += body;
     out.jsonl += '\n';
   }
   return out;
@@ -243,14 +277,19 @@ std::string merge_timelines(const std::vector<DeviceTimeline>& inputs) {
 
 namespace {
 
-// Group label of a stamped line: "device" if present, else "run-N" from the
-// shard path's {"run":N,...} stamp. False for unlabeled lines.
+// Group label of a stamped line, composed the way the sharded timeline
+// composes labels: a findings line stamped {"run":N,...} is "run-N", or
+// "run-N/<device>" when it also carries a "device" (a cell run's
+// findings); any other line is its "device". False for unlabeled lines.
 bool group_label(std::string_view line, std::string* out) {
-  if (field_string(line, "device", out)) return true;
+  const bool has_device = field_string(line, "device", out);
+  if (line.substr(0, 7) != "{\"run\":") return has_device;
   bool run_ok = false;
   const double run = field_number(line, "run", &run_ok);
-  if (!run_ok) return false;
-  *out = "run-" + std::to_string(static_cast<long long>(run));
+  if (!run_ok) return has_device;
+  std::string label = "run-" + std::to_string(static_cast<long long>(run));
+  if (has_device) label += "/" + *out;
+  *out = std::move(label);
   return true;
 }
 

@@ -13,9 +13,10 @@
 //
 // Every merge in the repository is the same two steps:
 //   1. stamp_and_sort_timeline, per input: stamp each line with the
-//      input's label and stable-sort by (t, seq). Inputs are independent,
-//      so this runs wherever the input is produced (the sharded campaign
-//      does it on the worker, before taking its commit lock).
+//      input's label and stable-sort by (t, device, seq). Inputs are
+//      independent, so this runs wherever the input is produced (the
+//      sharded campaign does it on the worker, before taking its commit
+//      lock).
 //   2. a k-way merge of the stamped inputs by (t, device, seq), ties broken
 //      by input position: merge_stamped_timelines in memory,
 //      merge_sorted_timeline_streams over files.
@@ -73,7 +74,11 @@ struct TimelineMergeResult {
 };
 
 // One input after step 1: every usable line stamped with the input's label
-// ({"device":<label>,...}), stably sorted by (t, seq), '\n'-terminated.
+// ({"device":<label>,...}), stably sorted by (t, device, seq),
+// '\n'-terminated. A line that already leads with a "device" member (an
+// input that is itself a merged timeline, like a cell run's) keeps it
+// under the input's label as one composed member,
+// {"device":"<label>/<its device>",...}, so the merge key sees both.
 struct StampedTimeline {
   std::string jsonl;
   TimelineMergeStats stats;
@@ -96,9 +101,11 @@ TimelineMergeResult merge_timelines_checked(
 std::string merge_timelines(const std::vector<DeviceTimeline>& inputs);
 
 // Per-group rollup over merged artifacts (`qoed_cli merge --summary`).
-// Groups are keyed by each line's "device" string; lines stamped by the
-// sharded campaign path with {"run":N,...} and no "device" fall into a
-// synthetic "run-N" group, so both stamp conventions summarize uniformly.
+// Groups are keyed by each line's "device" string; findings stamped by the
+// sharded campaign path with {"run":N,...} fall into a "run-N" group, or
+// "run-N/<device>" when they also carry a "device" — the label the sharded
+// timeline composes for the same run — so both stamp conventions
+// summarize uniformly.
 struct MergedGroupSummary {
   std::string label;
   std::size_t timeline_lines = 0;

@@ -281,16 +281,18 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
   core::JsonLiteParser p(json);
   if (!p.enter_object()) return fail("spec: expected a JSON object");
   *out = ScenarioSpec{};
-  // Count fields record the top of their range, so a rejection names it.
-  long max_count = -1;
+  // Numeric fields record their range, so a rejection names it.
+  long range_max = -1;
+  const char* range_kind = "an integer";
   const auto count = [&](long max, long* field) {
-    max_count = max;
+    range_max = max;
+    range_kind = "an integer";
     return p.read_count(max, field);
   };
   std::string key;
   while (p.next_key(&key)) {
     bool parsed = true;
-    max_count = -1;
+    range_max = -1;
     if (key == "scenario") {
       parsed = p.read_string(&out->scenario);
     } else if (key == "network") {
@@ -312,7 +314,10 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
     } else if (key == "mechanism") {
       parsed = p.read_string(&out->mechanism);
     } else if (key == "arrival") {
-      parsed = p.read_number(&out->arrival_s);
+      range_max = kMaxArrivalS;
+      range_kind = "a finite number";
+      parsed = p.read_bounded(static_cast<double>(kMaxArrivalS),
+                              &out->arrival_s);
     } else if (key == "fault_plan") {
       parsed = p.read_string(&out->fault_plan);
     } else if (key == "fault_seed") {
@@ -324,9 +329,9 @@ bool ScenarioSpec::parse_json(std::string_view json, ScenarioSpec* out,
     }
     if (!parsed) {
       const std::string at = " at byte " + std::to_string(p.offset());
-      if (max_count >= 0) {
-        return fail("spec: \"" + key + "\" must be an integer in [0, " +
-                    std::to_string(max_count) + "]" + at);
+      if (range_max >= 0) {
+        return fail("spec: \"" + key + "\" must be " + range_kind +
+                    " in [0, " + std::to_string(range_max) + "]" + at);
       }
       return fail("spec: malformed value for \"" + key + "\"" + at);
     }

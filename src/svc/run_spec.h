@@ -54,17 +54,19 @@ struct ScenarioSpec {
   // abort / reschedule (see DESIGN.md §5i).
   std::string policy;
 
-  // Upper bounds on the count fields; parse_json accepts integers in
-  // [0, bound] only. Far above anything pop::PopulationGenerator emits.
+  // Upper bounds on the numeric fields; parse_json accepts integers in
+  // [0, bound] for the counts and finite numbers in [0, bound] for
+  // arrival. Far above anything pop::PopulationGenerator emits.
   static constexpr long kMaxCount = 10000;            // pages, reps, videos
   static constexpr long kMaxThinkS = 86400;           // one day
   static constexpr long kMaxThrottleKbps = 10000000;  // 10 Gbit/s
+  static constexpr long kMaxArrivalS = 366L * 86400;  // arrival: a year
 
   // Parses one spec from a JSON object line. Unknown keys (e.g. the serve
   // protocol's "cmd") are ignored; missing keys keep their defaults. False
-  // on malformed JSON, an unknown scenario/network/kind value, or a count
-  // field that is not an integer within its bound, with a reason (field
-  // and byte offset for value errors) in *error.
+  // on malformed JSON, an unknown scenario/network/kind value, or a
+  // numeric field outside its range, with a reason (field, range and byte
+  // offset for value errors) in *error.
   static bool parse_json(std::string_view json, ScenarioSpec* out,
                          std::string* error);
 

@@ -19,43 +19,44 @@ namespace {
 
 // Appends serve events for one committed run: its ctrl reschedules, its
 // findings (stamped with the run id), a quarantine marker for failed runs,
-// then the run summary. Everything comes from the commit's serialized
-// bytes, so events match the shard artifacts exactly.
-void format_commit(const core::ShardedCampaignSink::Commit& c,
+// then the run summary. Every field is written with the same emitters the
+// metrics line uses, so events match the shard artifacts exactly.
+void format_commit(std::size_t id, const core::RunExecution& ex,
                    std::string* out) {
+  const core::RunResult& r = ex.result;
   std::ostringstream os;
-  for (std::size_t r = 1; r <= c.reschedules; ++r) {
-    os << "{\"event\":\"reschedule\",\"id\":" << c.run_index
-       << ",\"round\":" << r << "}\n";
+  for (std::size_t round = 1; round <= ex.reschedules; ++round) {
+    os << "{\"event\":\"reschedule\",\"id\":" << id
+       << ",\"round\":" << round << "}\n";
   }
-  std::string_view rest = c.findings_jsonl;
+  std::string_view rest = r.artifacts.findings_jsonl;
   while (!rest.empty()) {
     const auto nl = rest.find('\n');
     const std::string_view line = rest.substr(0, nl);
     rest = nl == std::string_view::npos ? std::string_view{}
                                         : rest.substr(nl + 1);
     if (line.empty() || line.front() != '{') continue;
-    os << "{\"event\":\"finding\",\"id\":" << c.run_index;
+    os << "{\"event\":\"finding\",\"id\":" << id;
     const std::string_view body = line.substr(1);
     if (body != "}") os << ',';
     os << body << '\n';
   }
-  if (!c.ok) {
-    os << "{\"event\":\"quarantine\",\"id\":" << c.run_index
-       << ",\"attempts\":" << c.attempts << ",\"error\":";
-    core::put_json_string(os, std::string(c.error));
+  if (!r.ok) {
+    os << "{\"event\":\"quarantine\",\"id\":" << id
+       << ",\"attempts\":" << ex.attempts << ",\"error\":";
+    core::put_json_string(os, r.error);
     os << "}\n";
   }
-  os << "{\"event\":\"run\",\"id\":" << c.run_index
-     << ",\"ok\":" << (c.ok ? "true" : "false")
-     << ",\"attempts\":" << c.attempts << ",\"resched\":" << c.reschedules
-     << ",\"seed\":" << c.last_seed << ",\"error\":";
-  core::put_json_string(os, std::string(c.error));
+  os << "{\"event\":\"run\",\"id\":" << id
+     << ",\"ok\":" << (r.ok ? "true" : "false")
+     << ",\"attempts\":" << ex.attempts << ",\"resched\":" << ex.reschedules
+     << ",\"seed\":" << ex.last_seed << ",\"error\":";
+  core::put_json_string(os, r.error);
   os << ",\"virtual_s\":";
-  core::put_json_number(os, c.virtual_seconds);
-  os << ",\"registry\":"
-     << (c.registry_json.empty() ? std::string_view("{}") : c.registry_json)
-     << "}\n";
+  core::put_json_number(os, r.virtual_seconds);
+  os << ",\"registry\":";
+  r.registry.write_json(os);
+  os << "}\n";
   *out += os.str();
 }
 
@@ -76,15 +77,15 @@ ServeEngine::ServeEngine(std::istream& in, std::ostream& out,
   shard.shard_runs = opts_.shard_runs;
   sink_ = std::make_unique<core::ShardedCampaignSink>(
       shard, policy_.name, opts_.master_seed, /*planned_runs=*/0);
-  sink_->set_commit_hook([this](const core::ShardedCampaignSink::Commit& c) {
+  sink_->set_commit_hook([this](std::size_t id, const core::RunExecution& ex) {
     std::string events;
-    format_commit(c, &events);
+    format_commit(id, ex, &events);
     {
       std::lock_guard<std::mutex> lock(out_mu_);
       out_ << events;
       out_.flush();
     }
-    committed_.store(c.run_index + 1, std::memory_order_release);
+    committed_.store(id + 1, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lock(progress_mu_);
     }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -104,7 +105,7 @@ RunFn synthetic_factory() {
 }
 
 // Prefixes every line of a run's raw findings with its run index, spelled
-// out here rather than through stamp_findings.
+// out here rather than through stamp_lines.
 std::string stamp_run(std::size_t run, const std::string& jsonl) {
   std::istringstream is(jsonl);
   std::string out, line;
@@ -446,6 +447,203 @@ TEST(CampaignShard, CommitLockWallIsProfiledOutsideTheRegistry) {
             nullptr);
   EXPECT_EQ(ShardMetricsMergeSink(dir).to_string().find("prof."),
             std::string::npos);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream content;
+  content << in.rdbuf();
+  return content.str();
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The metrics line is the only byte form of a run: decoding what
+// encode_metrics_line wrote gives the run back exactly — extreme doubles,
+// seeds past 2^53, escaped error text and quarantined runs included — and
+// re-encoding the decoded run reproduces the line.
+TEST(CampaignShard, MetricsLineRoundTripsExactly) {
+  RunExecution clean;
+  clean.attempts = 3;
+  clean.reschedules = 1;
+  clean.last_seed = UINT64_MAX - 1;
+  clean.result.samples["edge"] = {-0.0, 5e-324, 1.7976931348623157e308, 0.1};
+  clean.result.samples["none"] = {};
+  clean.result.counters["c.neg_zero"] = -0.0;
+  clean.result.counters["c.max"] = 1.7976931348623157e308;
+  clean.result.counters["c.tiny"] = 5e-324;
+  clean.result.registry.add_counter("c.neg_zero", -0.0);
+  clean.result.registry.set_gauge("g.tiny", 5e-324);
+  clean.result.registry.observe("latency_s", 0.25);
+  clean.result.virtual_seconds = 1.7976931348623157e308;
+
+  RunExecution quarantined;
+  quarantined.attempts = 2;
+  quarantined.last_seed = (std::uint64_t{1} << 53) + 1;
+  quarantined.result.ok = false;
+  quarantined.result.error = "quote \" backslash \\ nl \n tab \t ctl \x01 end";
+  quarantined.result.registry.add_counter("log.warn", 2);
+  quarantined.result.virtual_seconds = -0.0;
+
+  for (const auto& [index, ex] :
+       {std::pair<std::size_t, const RunExecution*>{7, &clean},
+        {9, &quarantined}}) {
+    const std::string line = encode_metrics_line(index, *ex);
+    MetricsLine decoded;
+    RunExecution back;
+    std::string error;
+    ASSERT_TRUE(decode_metrics_line(line, &decoded, &error)) << error;
+    ASSERT_TRUE(decode_run(decoded, &back, &error)) << error;
+    EXPECT_EQ(decoded.run, index);
+    EXPECT_EQ(back.attempts, ex->attempts);
+    EXPECT_EQ(back.reschedules, ex->reschedules);
+    EXPECT_EQ(back.last_seed, ex->last_seed);
+    EXPECT_EQ(back.result.ok, ex->result.ok);
+    EXPECT_EQ(back.result.error, ex->result.error);
+    EXPECT_TRUE(same_bits(back.result.virtual_seconds,
+                          ex->result.virtual_seconds));
+    ASSERT_EQ(back.result.samples.size(), ex->result.samples.size());
+    for (const auto& [name, vals] : ex->result.samples) {
+      const std::vector<double>& got = back.result.samples.at(name);
+      ASSERT_EQ(got.size(), vals.size()) << name;
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        EXPECT_TRUE(same_bits(got[i], vals[i])) << name << "[" << i << "]";
+      }
+    }
+    ASSERT_EQ(back.result.counters.size(), ex->result.counters.size());
+    for (const auto& [name, v] : ex->result.counters) {
+      EXPECT_TRUE(same_bits(back.result.counters.at(name), v)) << name;
+    }
+    EXPECT_EQ(back.result.registry.snapshot(), ex->result.registry.snapshot());
+    EXPECT_EQ(encode_metrics_line(index, back), line);
+  }
+}
+
+// The fold does not depend on submit order or on whether a run reached the
+// sink as a structure or as bytes: runs fed last to first (parked in
+// memory, or — past a tiny shard budget — spilled to pending files and
+// decoded back) fold to the same snapshot and CampaignResult as runs fed
+// in order.
+TEST(CampaignShard, SinkFoldIsIndependentOfSubmitOrder) {
+  const std::size_t runs = 6;
+  const auto make_exec = [](std::size_t i) {
+    RunExecution ex;
+    ex.last_seed = Campaign::run_seed(4242, i);
+    ex.result = synthetic_run(ex.last_seed);
+    ex.result.samples["edge"] = {-0.0, 5e-324, 0.25};
+    ex.attempts = 1 + i % 2;
+    ex.reschedules = i % 3 == 0 ? 1 : 0;
+    if (i == 4) {
+      ex.result.ok = false;
+      ex.result.error = "lost \"device\"";
+    }
+    return ex;
+  };
+  std::size_t spilled = 0;  // pending files just before run 0 arrived
+  const auto fold = [&](const std::string& dir, bool reverse,
+                        std::size_t shard_bytes) {
+    CampaignShardConfig cfg;
+    cfg.out_dir = dir;
+    cfg.shard_bytes = shard_bytes;
+    ShardedCampaignSink sink(cfg, "order-test", 4242, runs);
+    for (std::size_t k = 0; k < runs; ++k) {
+      const std::size_t i = reverse ? runs - 1 - k : k;
+      if (i == 0 && !dir.empty()) {
+        spilled = 0;
+        for (const auto& e : fs::directory_iterator(dir)) {
+          spilled += e.path().filename().string().rfind("pending-", 0) == 0;
+        }
+      }
+      sink.submit(i, make_exec(i));
+    }
+    sink.finalize();
+    CampaignResult result;
+    result.name = "order-test";
+    sink.fold_into(&result, /*build_trace=*/true);
+    std::string out = sink.metrics_snapshot() + "\n" +
+                      CampaignJsonSink(result).to_string() + "\n" +
+                      TraceEventSink(result.trace).to_string() + "\n";
+    for (const std::size_t n : result.run_reschedules) {
+      out += std::to_string(n) + ",";
+    }
+    return out;
+  };
+  const std::size_t budget = CampaignShardConfig{}.shard_bytes;
+  const std::string reference = fold("", false, budget);
+  EXPECT_NE(reference.find("lost \\\"device\\\""), std::string::npos);
+  EXPECT_EQ(fold("", true, budget), reference);
+  const std::string fwd = scratch_dir("order_fwd");
+  const std::string parked = scratch_dir("order_parked");
+  const std::string spill = scratch_dir("order_spilled");
+  EXPECT_EQ(fold(fwd, false, budget), reference);
+  EXPECT_EQ(fold(parked, true, budget), reference);
+  EXPECT_EQ(spilled, 0u);
+  EXPECT_EQ(fold(spill, true, 1), reference);
+  EXPECT_EQ(spilled, runs - 1);
+  const Artifacts a = merged_artifacts(fwd);
+  for (const std::string& dir : {parked, spill}) {
+    const Artifacts b = merged_artifacts(dir);
+    EXPECT_EQ(a.findings, b.findings) << dir;
+    EXPECT_EQ(a.timeline, b.timeline) << dir;
+    EXPECT_EQ(a.metrics, b.metrics) << dir;
+  }
+  EXPECT_EQ(slurp(fwd + "/metrics-000000.jsonl"),
+            slurp(parked + "/metrics-000000.jsonl"));
+}
+
+// A merge never writes a thinner artifact than the shards hold: a missing
+// manifest, a manifest-listed shard that cannot be read, or a malformed
+// metrics line fails write_file and leaves the previous file in place.
+TEST(CampaignShard, MergeSinksFailInsteadOfThinning) {
+  const std::string dir = scratch_dir("thin");
+  CampaignConfig cfg = sharded_config(dir, 3, 1);
+  cfg.shard.shard_runs = 1;
+  Campaign(cfg).run(synthetic_factory());
+
+  const ShardFindingsMergeSink findings(dir);
+  const ShardTimelineMergeSink timeline(dir);
+  const ShardMetricsMergeSink metrics(dir);
+  const ShardCapturesMergeSink captures(dir);
+  const std::vector<std::pair<const ExportSink*, std::string>> sinks = {
+      {&findings, "findings"},
+      {&timeline, "timeline"},
+      {&metrics, "metrics"},
+      {&captures, "captures"}};  // captures shards are empty: still valid
+  for (const auto& [sink, kind] : sinks) {
+    const std::string path = dir + "/" + std::string(sink->id());
+    ASSERT_TRUE(sink->write_file(path)) << kind;
+    const std::string before = slurp(path);
+    const std::string shard = dir + "/" + kind + "-000001.jsonl";
+    const std::string saved = slurp(shard);
+    fs::remove(shard);
+    EXPECT_FALSE(sink->write_file(path)) << kind;
+    EXPECT_EQ(slurp(path), before) << kind;
+    EXPECT_FALSE(fs::exists(path + ".tmp")) << kind;
+    std::ofstream(shard, std::ios::binary) << saved;
+    EXPECT_TRUE(sink->write_file(path)) << kind;
+    EXPECT_EQ(slurp(path), before) << kind;
+  }
+
+  const std::string metrics_path = dir + "/metrics.json";
+  const std::string before = slurp(metrics_path);
+  const std::string shard = dir + "/metrics-000002.jsonl";
+  const std::string saved = slurp(shard);
+  for (const char* bad :
+       {"garbage\n", "{\"run\":2,\"ok\":maybe}\n",
+        "{\"run\":2,\"ok\":true,\"registry\":{\"counters\":{\"x\":}}}\n"}) {
+    std::ofstream(shard, std::ios::binary | std::ios::trunc) << saved << bad;
+    EXPECT_FALSE(metrics.write_file(metrics_path)) << bad;
+    EXPECT_EQ(slurp(metrics_path), before) << bad;
+  }
+  std::ofstream(shard, std::ios::binary | std::ios::trunc) << saved;
+
+  fs::remove(dir + "/MANIFEST.json");
+  for (const auto& [sink, kind] : sinks) {
+    EXPECT_FALSE(sink->write_file(dir + "/" + std::string(sink->id())))
+        << kind;
+  }
 }
 
 // --- input boundaries: unsigned fields, manifests and metrics lines ---

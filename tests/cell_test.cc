@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,40 @@ TEST(SharedCellRun, SpecCountFieldsAreBoundedIntegers) {
         f.head + std::to_string(f.max) + f.tail, &parsed, &error))
         << f.name << ": " << error;
   }
+  // capacity_kbps and devices[].arrival take a finite number in
+  // [0, bound]; fractions are fine.
+  const std::vector<Field> numbers = {
+      {"{\"capacity_kbps\":", "," + devices + "}", "capacity_kbps",
+       CellScenarioSpec::kMaxCapacityKbps},
+      {"{\"devices\":[{\"arrival\":", "}]}", "arrival",
+       CellScenarioSpec::kMaxArrivalS}};
+  for (const Field& f : numbers) {
+    for (const std::string& bad :
+         {std::string("1e300"), std::string("-50"), std::string("-0.5"),
+          std::string("nan"), std::string("inf"), std::string("1e400"),
+          std::to_string(f.max + 1), std::string("\"7\"")}) {
+      EXPECT_FALSE(
+          CellScenarioSpec::parse_json(f.head + bad + f.tail, &parsed, &error))
+          << f.name << "=" << bad;
+      EXPECT_EQ(error, "cell spec: \"" + f.name +
+                           "\" must be a finite number in [0, " +
+                           std::to_string(f.max) + "] at byte " +
+                           std::to_string(f.head.size()))
+          << f.name << "=" << bad;
+    }
+    for (const std::string& good : {std::string("0"), std::string("2.5"),
+                                    std::to_string(f.max)}) {
+      EXPECT_TRUE(CellScenarioSpec::parse_json(f.head + good + f.tail,
+                                               &parsed, &error))
+          << f.name << "=" << good << ": " << error;
+    }
+  }
+  EXPECT_TRUE(CellScenarioSpec::parse_json(
+      "{\"capacity_kbps\":1999.5,\"devices\":[{\"arrival\":2.5}]}", &parsed,
+      &error))
+      << error;
+  EXPECT_EQ(parsed.capacity_kbps, 1999.5);
+  EXPECT_EQ(parsed.devices[0].arrival_s, 2.5);
   // A malformed non-count device value still carries its location.
   const std::string bad_app = "{\"devices\":[{\"app\":7}]}";
   EXPECT_FALSE(CellScenarioSpec::parse_json(bad_app, &parsed, &error));
@@ -313,6 +348,38 @@ TEST(SharedCellCampaign, ArtifactsInvariantAcrossJobs) {
             core::ShardTimelineMergeSink(dir4).to_string());
   EXPECT_EQ(core::ShardMetricsMergeSink(dir1).to_string(),
             core::ShardMetricsMergeSink(dir4).to_string());
+}
+
+// A cell run's timeline lines already lead with their device. The sharded
+// merge composes it with the run's label into one "device" member
+// ("run-N/dev-XXXX"), and the summary groups each run's findings
+// ({"run":N,"device":...}) under the same labels as its timeline.
+TEST(SharedCellCampaign, MergedTimelineCarriesOneComposedDeviceLabel) {
+  const std::string dir = scratch_dir("labels");
+  core::Campaign(cell_campaign(dir, 2)).run(cell_factory());
+  const std::string timeline = core::ShardTimelineMergeSink(dir).to_string();
+  const std::string findings = core::ShardFindingsMergeSink(dir).to_string();
+  std::istringstream is(timeline);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(is, line)) {
+    ++lines;
+    ASSERT_EQ(line.rfind("{\"device\":\"run-", 0), 0u) << line;
+    EXPECT_NE(line.find("/dev-"), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"device\"", 2), std::string::npos) << line;
+  }
+  EXPECT_GT(lines, 0u);
+  ASSERT_FALSE(findings.empty());
+
+  const core::MergedSummary summary =
+      core::summarize_merged(timeline, findings);
+  ASSERT_EQ(summary.groups.size(), 6u);  // 3 runs x 2 devices
+  for (const auto& g : summary.groups) {
+    EXPECT_EQ(g.label.rfind("run-", 0), 0u) << g.label;
+    EXPECT_NE(g.label.find("/dev-"), std::string::npos) << g.label;
+    EXPECT_GT(g.timeline_lines, 0u) << g.label;
+  }
+  EXPECT_EQ(summary.timeline_lines, lines);
 }
 
 TEST(SharedCellCampaign, ResumeReproducesIdenticalBytes) {

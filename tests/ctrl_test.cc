@@ -443,8 +443,8 @@ TEST(CtrlReschedule, BatchFleetReschedulesAndCounts) {
   // them back per device label for fleet rollups.
   const auto outcomes = core::read_run_outcomes(dir);
   ASSERT_EQ(outcomes.count("run-0"), 1u);
-  EXPECT_EQ(outcomes.at("run-0").rescheduled, 1u);
-  EXPECT_EQ(outcomes.at("run-0").quarantined, 0u);
+  EXPECT_EQ(outcomes.at("run-0").reschedules, 1u);
+  EXPECT_TRUE(outcomes.at("run-0").ok);
 }
 
 TEST(CtrlReschedule, ServeMatchesBatchByteForByte) {

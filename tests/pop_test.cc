@@ -204,6 +204,21 @@ TEST(Population, ArrivalFieldRoundTripsThroughScenarioSpec) {
                                             &parsed, &error))
       << error;
   EXPECT_EQ(parsed.arrival_s, 0);
+
+  // The latest arrival the generator can emit (the last second of the
+  // longest span `qoed_cli pop --days` allows) is inside the spec's bound.
+  PopulationConfig cfg = small_config();
+  cfg.users = 50;
+  cfg.days = static_cast<int>(svc::ScenarioSpec::kMaxArrivalS / 86400);
+  const PopulationGenerator gen(cfg);
+  for (std::size_t i = 0; i < cfg.users; ++i) {
+    ASSERT_TRUE(svc::ScenarioSpec::parse_json(gen.user_spec(i).to_json(),
+                                              &parsed, &error))
+        << error;
+  }
+  spec.arrival_s = (cfg.days - 1) * 86400.0 + 86399.999;
+  EXPECT_TRUE(svc::ScenarioSpec::parse_json(spec.to_json(), &parsed, &error))
+      << error;
 }
 
 }  // namespace

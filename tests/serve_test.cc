@@ -130,7 +130,10 @@ TEST(Serve, RejectsMalformedInput) {
 TEST(Serve, SubmitRejectsOutOfRangeCountsWithTheirLocation) {
   const std::string head =
       "{\"cmd\":\"submit\",\"scenario\":\"pageload\",\"pages\":";
-  std::istringstream in(head + "1e300}\n" + head + "-5}\n" +
+  const std::string arrival =
+      "{\"cmd\":\"submit\",\"scenario\":\"post\",\"arrival\":";
+  std::istringstream in(head + "1e300}\n" + head + "-5}\n" + arrival +
+                        "1e300}\n" + arrival + "-50}\n" + arrival + "nan}\n" +
                         "{\"cmd\":\"status\"}\n{\"cmd\":\"shutdown\"}\n");
   std::ostringstream out;
   ServeEngine engine(in, out, ServeOptions{});
@@ -141,6 +144,13 @@ TEST(Serve, SubmitRejectsOutOfRangeCountsWithTheirLocation) {
                              "must be an integer in [0, 10000] at byte " +
                                  std::to_string(head.size()) + "\"}"),
             2u)
+      << out.str();
+  EXPECT_EQ(count_containing(lines,
+                             "{\"ok\":false,\"error\":\"spec: \\\"arrival\\\" "
+                             "must be a finite number in [0, 31622400] at "
+                             "byte " +
+                                 std::to_string(arrival.size()) + "\"}"),
+            3u)
       << out.str();
   EXPECT_EQ(count_containing(lines, "\"submitted\":0,\"committed\":0"), 1u);
   EXPECT_EQ(count_containing(lines, "\"shutdown\":true,\"runs\":0"), 1u);
@@ -341,6 +351,34 @@ TEST(ScenarioSpec, CountFieldsAreBoundedIntegers) {
                                            : parsed.throttle_kbps;
       EXPECT_EQ(got, value) << field << "=" << good;
     }
+  }
+}
+
+// arrival takes a finite number of seconds in [0, kMaxArrivalS]: a year,
+// above the latest arrival pop emits (--days is capped to fit).
+TEST(ScenarioSpec, ArrivalIsAFiniteNumberInRange) {
+  const std::string head = "{\"scenario\":\"video\",\"arrival\":";
+  const std::string want =
+      "spec: \"arrival\" must be a finite number in [0, " +
+      std::to_string(ScenarioSpec::kMaxArrivalS) + "] at byte " +
+      std::to_string(head.size());
+  ScenarioSpec parsed;
+  std::string error;
+  for (const std::string& bad :
+       {std::string("1e300"), std::string("-50"), std::string("-1e-9"),
+        std::string("nan"), std::string("inf"), std::string("1e400"),
+        std::to_string(ScenarioSpec::kMaxArrivalS + 1), std::string("\"7\"")}) {
+    EXPECT_FALSE(ScenarioSpec::parse_json(head + bad + "}", &parsed, &error))
+        << bad;
+    EXPECT_EQ(error, want) << bad;
+  }
+  for (const double good :
+       {0.0, 61234.5, static_cast<double>(ScenarioSpec::kMaxArrivalS)}) {
+    ScenarioSpec spec;
+    spec.arrival_s = good;
+    ASSERT_TRUE(ScenarioSpec::parse_json(spec.to_json(), &parsed, &error))
+        << good << ": " << error;
+    EXPECT_EQ(parsed.arrival_s, good);
   }
 }
 

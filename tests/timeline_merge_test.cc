@@ -288,6 +288,47 @@ TEST(TimelineKeyParseTest, BoundedStrtodMatchesStrtod) {
   }
 }
 
+// An input that is itself a merged timeline (a cell run's lines lead with
+// their device) keeps that device under the input's label as ONE member,
+// and is ordered by the merge key (t, device, seq) — not by the
+// device-local seq, which would interleave the devices.
+TEST(TimelineMergeTest, StampComposesCarriedDeviceLabel) {
+  const std::string cell =
+      "{\"device\":\"dev-0000\",\"t\":1,\"seq\":9,\"k\":\"a\"}\n"
+      "{\"device\":\"dev-0001\",\"t\":1,\"seq\":2,\"k\":\"b\"}\n"
+      "{\"device\":\"dev\\\"q\",\"t\":0.5,\"seq\":1}\n"
+      "{\"t\":1,\"seq\":4,\"k\":\"bare\"}\n"
+      "{\"device\":\"dev-0002\"}\n";
+  const StampedTimeline out = stamp_and_sort_timeline("run-7", cell);
+  EXPECT_EQ(out.jsonl,
+            "{\"device\":\"run-7/dev\\\"q\",\"t\":0.5,\"seq\":1}\n"
+            "{\"device\":\"run-7\",\"t\":1,\"seq\":4,\"k\":\"bare\"}\n"
+            "{\"device\":\"run-7/dev-0000\",\"t\":1,\"seq\":9,\"k\":\"a\"}\n"
+            "{\"device\":\"run-7/dev-0001\",\"t\":1,\"seq\":2,\"k\":\"b\"}\n");
+  EXPECT_EQ(out.stats.lines, 5u);
+  EXPECT_EQ(out.stats.malformed, 1u);  // the labeled line without "t"
+  // Already in merge-key order: the k-way merge leaves it as it is.
+  std::string merged;
+  merge_stamped_timelines({out.jsonl}, &merged);
+  EXPECT_EQ(merged, out.jsonl);
+
+  // The summary groups a sharded cell run's timeline and its findings
+  // ({"run":N,"device":...}) under the same composed label.
+  const MergedSummary summary = summarize_merged(
+      out.jsonl,
+      "{\"run\":7,\"device\":\"dev-0000\",\"total_s\":2}\n"
+      "{\"run\":7,\"i\":0}\n");
+  ASSERT_EQ(summary.groups.size(), 4u);
+  EXPECT_EQ(summary.groups[0].label, "run-7");
+  EXPECT_EQ(summary.groups[0].timeline_lines, 1u);
+  EXPECT_EQ(summary.groups[0].findings, 1u);
+  EXPECT_EQ(summary.groups[1].label, "run-7/dev\"q");
+  EXPECT_EQ(summary.groups[2].label, "run-7/dev-0000");
+  EXPECT_EQ(summary.groups[2].timeline_lines, 1u);
+  EXPECT_EQ(summary.groups[2].findings, 1u);
+  EXPECT_EQ(summary.groups[3].label, "run-7/dev-0001");
+}
+
 TEST(TimelineKeyParseTest, NeverReadsPastTheLine) {
   // A number cut off by the end of its view parses as the bytes in the
   // view; the digits after it are not read.
