@@ -10,6 +10,17 @@
 namespace qoed {
 namespace {
 
+// Exact kernel work counts of one iteration (every iteration does the same
+// work): closures scheduled, callbacks run, and timers re-armed in place.
+void report_kernel_counts(benchmark::State& state,
+                          const sim::EventLoop& loop) {
+  state.counters["scheduled"] =
+      static_cast<double>(loop.scheduled_events());
+  state.counters["dispatched"] =
+      static_cast<double>(loop.dispatched_events());
+  state.counters["rearmed"] = static_cast<double>(loop.rearmed_events());
+}
+
 void BM_EventLoopDispatch(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventLoop loop;
@@ -42,6 +53,7 @@ void BM_TcpBulkTransfer(benchmark::State& state) {
     sock->send({.type = "BULK", .size = bytes});
     loop.run();
     benchmark::DoNotOptimize(got);
+    report_kernel_counts(state, loop);
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
 }
@@ -95,6 +107,7 @@ void BM_FullPageLoadOver3g(benchmark::State& state) {
                      });
     bed.loop().run();
     benchmark::DoNotOptimize(load);
+    report_kernel_counts(state, bed.loop());
   }
 }
 BENCHMARK(BM_FullPageLoadOver3g);

@@ -59,7 +59,8 @@
 //             findings.jsonl / timeline.jsonl / metrics.json are
 //             byte-identical at any --jobs. --resume continues a killed
 //             fleet; --merge-only just rebuilds merged artifacts from an
-//             existing shard dir.
+//             existing shard dir. Exits 1 when a merged artifact cannot be
+//             written, else 3 when a run was quarantined.
 //   serve:    long-lived scheduler; line-delimited JSON commands
 //             (submit/status/drain/shutdown) on stdin or --socket=PATH.
 //             See src/svc/serve.h for the protocol.
@@ -174,13 +175,14 @@ void attach_network(device::Device& dev, const Options& opt) {
   dev.attach_cellular(cfg);
 }
 
-void run_sink(const core::ExportSink& sink, const std::string& path) {
+bool run_sink(const core::ExportSink& sink, const std::string& path) {
   if (sink.write_file(path)) {
     std::printf("wrote %s to %s\n", std::string(sink.id()).c_str(),
                 path.c_str());
-  } else {
-    std::printf("FAILED to write %s\n", path.c_str());
+    return true;
   }
+  std::printf("FAILED to write %s\n", path.c_str());
+  return false;
 }
 
 // Switches the per-device tracer on when --trace is given. Must run before
@@ -822,19 +824,21 @@ int run_pop(const Options& opt) {
 
 // Writes the merged fleet artifacts from the shard directory: each to its
 // --findings/--timeline/--metrics/--captures path, or next to the shards.
-void write_fleet_artifacts(const Options& opt, const std::string& out_dir) {
+// Tries all four; false when any failed.
+bool write_fleet_artifacts(const Options& opt, const std::string& out_dir) {
   const auto path = [&](const char* key, const char* def) {
     const std::string p = opt.get(key, "");
     return p.empty() ? out_dir + "/" + def : p;
   };
-  run_sink(core::ShardFindingsMergeSink(out_dir),
-           path("findings", "findings.jsonl"));
-  run_sink(core::ShardTimelineMergeSink(out_dir),
-           path("timeline", "timeline.jsonl"));
-  run_sink(core::ShardMetricsMergeSink(out_dir),
-           path("metrics", "metrics.json"));
-  run_sink(core::ShardCapturesMergeSink(out_dir),
-           path("captures", "captures.jsonl"));
+  bool ok = run_sink(core::ShardFindingsMergeSink(out_dir),
+                     path("findings", "findings.jsonl"));
+  ok &= run_sink(core::ShardTimelineMergeSink(out_dir),
+                 path("timeline", "timeline.jsonl"));
+  ok &= run_sink(core::ShardMetricsMergeSink(out_dir),
+                 path("metrics", "metrics.json"));
+  ok &= run_sink(core::ShardCapturesMergeSink(out_dir),
+                 path("captures", "captures.jsonl"));
+  return ok;
 }
 
 int run_fleet(const Options& opt) {
@@ -846,8 +850,7 @@ int run_fleet(const Options& opt) {
   }
 
   if (opt.get_int("merge-only", 0) != 0) {
-    write_fleet_artifacts(opt, out_dir);
-    return 0;
+    return write_fleet_artifacts(opt, out_dir) ? 0 : 1;
   }
 
   if (specs_path.empty()) {
@@ -917,13 +920,14 @@ int run_fleet(const Options& opt) {
       result.runs, result.quarantined.size(), rescheduled, result.jobs,
       campaign.last_wall_seconds());
 
-  write_fleet_artifacts(opt, out_dir);
+  const bool merged = write_fleet_artifacts(opt, out_dir);
   const std::string json = opt.get("json", "");
   if (!json.empty()) {
     std::ofstream os(json, std::ios::binary);
     core::export_campaign_json(os, result);
     if (os) std::printf("wrote campaign.json to %s\n", json.c_str());
   }
+  if (!merged) return 1;
   return result.quarantined.empty() ? 0 : 3;
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "net/network.h"
 #include "sim/rng.h"
@@ -24,6 +25,7 @@ struct WifiConfig {
 class WifiLink final : public AccessLink {
  public:
   WifiLink(sim::EventLoop& loop, sim::Rng rng, WifiConfig cfg = {});
+  ~WifiLink() override { *alive_ = false; }
 
   void send_uplink(Packet p) override;
   void send_downlink(Packet p) override;
@@ -42,6 +44,8 @@ class WifiLink final : public AccessLink {
   sim::TimePoint uplink_last_delivery_;
   sim::TimePoint downlink_last_delivery_;
   std::uint64_t dropped_ = 0;
+  // Deliveries still queued when the link goes away (a handover) are lost.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace qoed::net

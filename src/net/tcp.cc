@@ -170,9 +170,11 @@ void TcpSocket::emit(Packet p) {
 }
 
 void TcpSocket::arm_rto() {
+  sim::EventLoop& loop = stack_.host().loop();
+  if (loop.rearm(rto_timer_, loop.now() + rto_)) return;
   rto_timer_.cancel();
   auto self = weak_from_this();
-  rto_timer_ = stack_.host().loop().schedule_after(rto_, [self] {
+  rto_timer_ = loop.schedule_after(rto_, [self] {
     if (auto s = self.lock()) s->on_rto();
   });
 }

@@ -270,6 +270,7 @@ void RlcChannel::on_status(std::uint32_t ack_until,
 
 void RlcChannel::arm_poll_timer() {
   poll_outstanding_ = true;
+  if (loop_.rearm(poll_timer_, loop_.now() + cfg_.poll_timeout)) return;
   poll_timer_.cancel();
   poll_timer_ = loop_.schedule_after(cfg_.poll_timeout, [this] {
     if (poll_outstanding_) send_standalone_poll();

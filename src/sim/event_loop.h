@@ -1,14 +1,35 @@
 // Deterministic single-threaded discrete-event loop.
 //
-// Components schedule closures at virtual times; the loop dispatches them in
-// (time, insertion-order) order, so runs are exactly reproducible. Timers can
-// be cancelled through the handle returned at scheduling time.
+// Dispatch contract. Every schedule_at() and every successful rearm() takes
+// the next value of one loop-wide sequence counter at the call. The loop
+// fires pending timers in ascending (time, seq) order, so events at equal
+// times fire in the order they were scheduled or re-armed, and a run is
+// exactly reproducible. A timer re-armed with rearm() fires exactly where
+// cancel() followed by schedule_at() at the same call would have put it.
+//
+// Layout. The queue is a binary heap of small {at, seq, slot} keys; closures
+// live in a slot table and are moved out when they fire. A slot is reused
+// only after its key leaves the heap. rearm() changes the slot's live
+// (at, seq) and leaves the old key queued: when that stale key reaches the
+// top it is pushed again at the live (at, seq) without advancing the clock.
+// A cancelled closure is destroyed when its key reaches the top, never
+// inside cancel(): a closure may hold the last reference to the object that
+// cancels it.
+//
+// Handle lifetime. A TimerHandle names {slot, generation} in slot state that
+// the loop shares with its handles, so a handle stays safe to use after the
+// loop is gone. A slot's generation changes when its timer fires or its
+// cancelled key is discarded; a stale handle therefore never acts on a
+// reused slot. A handle is inactive from the moment its callback starts.
+// Once the loop's destructor begins, every handle is inactive and cancel()
+// is a no-op, including calls from closure destructors run by ~EventLoop;
+// the destructor empties the shared state, so a handle that outlives the
+// loop pins no per-slot memory.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "sim/time.h"
@@ -16,6 +37,21 @@
 namespace qoed::sim {
 
 class EventLoop;
+
+namespace detail {
+
+// Per-slot state shared by a loop and the handles into it.
+struct TimerSlot {
+  TimePoint at;           // live deadline; rearm() moves it later
+  std::uint64_t seq = 0;  // live tie-break; newer than the queued key's
+                          // after a rearm()
+  std::uint32_t gen = 0;  // changes each time the slot is released
+  bool pending = false;   // scheduled, not yet fired or cancelled
+};
+
+using TimerSlots = std::vector<TimerSlot>;
+
+}  // namespace detail
 
 // Cancellation handle for a scheduled event. Default-constructed handles are
 // inert. Cancelling an already-fired or already-cancelled event is a no-op.
@@ -28,15 +64,23 @@ class TimerHandle {
 
  private:
   friend class EventLoop;
-  explicit TimerHandle(std::shared_ptr<bool> cancelled)
-      : cancelled_(std::move(cancelled)) {}
+  TimerHandle(std::shared_ptr<detail::TimerSlots> slots, std::uint32_t slot,
+              std::uint32_t gen)
+      : slots_(std::move(slots)), slot_(slot), gen_(gen) {}
 
-  std::shared_ptr<bool> cancelled_;
+  // The slot this handle names, or nullptr once it no longer holds this
+  // handle's pending timer.
+  detail::TimerSlot* pending_slot() const;
+
+  std::shared_ptr<detail::TimerSlots> slots_;
+  std::uint32_t slot_ = 0;
+  std::uint32_t gen_ = 0;
 };
 
 class EventLoop {
  public:
-  EventLoop() = default;
+  EventLoop();
+  ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -47,6 +91,13 @@ class EventLoop {
 
   // Schedules `fn` to run `delay` after now (negative delays clamp to now).
   TimerHandle schedule_after(Duration delay, std::function<void()> fn);
+
+  // Moves `timer`'s pending event to `at`, keeping its closure, and takes
+  // the next sequence number now, exactly as cancel() + schedule_at(at)
+  // would. Returns false, changing nothing, when `timer` is not pending on
+  // this loop or `at` is earlier than its current time; the caller then
+  // falls back to cancel() + schedule_at().
+  bool rearm(TimerHandle& timer, TimePoint at);
 
   // Runs events until the queue is empty. Returns the number dispatched.
   std::size_t run();
@@ -69,30 +120,37 @@ class EventLoop {
   bool stop_requested() const { return stop_requested_; }
   void clear_stop() { stop_requested_ = false; }
 
-  std::size_t pending_events() const { return queue_.size(); }
+  // Queued keys, including cancelled ones not yet discarded.
+  std::size_t pending_events() const { return heap_.size(); }
+  // Exact work counts: schedule_at() calls, callbacks run, and successful
+  // rearm() calls (each one a schedule the loop did not have to make).
+  std::uint64_t scheduled_events() const { return scheduled_; }
   std::uint64_t dispatched_events() const { return dispatched_; }
+  std::uint64_t rearmed_events() const { return rearmed_; }
 
  private:
-  struct Event {
+  struct Key {
     TimePoint at;
     std::uint64_t seq = 0;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+    std::uint32_t slot = 0;
   };
 
-  bool dispatch_next();
+  void push_key(const Key& k);
+  Key pop_key();
+  bool settle_top();
+  void fire_top();
+  void release(std::uint32_t slot);
 
   TimePoint now_{};
   bool stop_requested_ = false;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t scheduled_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::uint64_t rearmed_ = 0;
+  std::vector<Key> heap_;  // min-heap on (at, seq)
+  std::vector<std::function<void()>> fns_;  // closure per slot
+  std::vector<std::uint32_t> free_;         // released slots, reused LIFO
+  std::shared_ptr<detail::TimerSlots> slots_;
 };
 
 }  // namespace qoed::sim

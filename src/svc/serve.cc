@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <streambuf>
+#include <string>
 
 #include "core/json_util.h"
 
@@ -175,15 +176,18 @@ int ServeEngine::shutdown_now(bool ack) {
     error = e.what();
   }
   if (rc == 0 && !opts_.out_dir.empty()) {
-    // Merged campaign-level artifacts beside the shards they merge.
-    core::ShardFindingsMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/findings.jsonl");
-    core::ShardTimelineMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/timeline.jsonl");
-    core::ShardMetricsMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/metrics.json");
-    core::ShardCapturesMergeSink(opts_.out_dir)
-        .write_file(opts_.out_dir + "/captures.jsonl");
+    // Merged campaign-level artifacts beside the shards they merge. All
+    // four are tried; the ack names each one that failed.
+    const auto write = [&](const core::ExportSink& sink) {
+      const std::string path = opts_.out_dir + "/" + std::string(sink.id());
+      if (sink.write_file(path)) return;
+      rc = 1;
+      error += (error.empty() ? "failed to write " : ", ") + path;
+    };
+    write(core::ShardFindingsMergeSink(opts_.out_dir));
+    write(core::ShardTimelineMergeSink(opts_.out_dir));
+    write(core::ShardMetricsMergeSink(opts_.out_dir));
+    write(core::ShardCapturesMergeSink(opts_.out_dir));
   }
   if (ack) {
     std::ostringstream os;

@@ -107,6 +107,28 @@ TEST(Serve, EofIsImplicitShutdown) {
   EXPECT_TRUE(fs::exists(dir + "/findings.jsonl"));
 }
 
+TEST(Serve, ShutdownReportsMergeWriteFailure) {
+  const std::string dir = scratch_dir("merge_fail");
+  std::istringstream in(submit_line(23) + "{\"cmd\":\"shutdown\"}\n");
+  std::ostringstream out;
+  ServeOptions opts;
+  opts.out_dir = dir;
+  ServeEngine engine(in, out, opts);
+  // A directory where the merged timeline goes: its write must fail.
+  fs::create_directories(dir + "/timeline.jsonl/blocker");
+  EXPECT_EQ(engine.run(), 1);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(lines.back().find("{\"ok\":false,\"error\":"), std::string::npos)
+      << lines.back();
+  EXPECT_NE(lines.back().find("timeline.jsonl"), std::string::npos);
+  EXPECT_EQ(lines.back().find("findings.jsonl"), std::string::npos);
+  EXPECT_EQ(count_containing(lines, "\"shutdown\":true"), 0u);
+  // The other merged artifacts were still written.
+  EXPECT_TRUE(fs::exists(dir + "/findings.jsonl"));
+  EXPECT_TRUE(fs::exists(dir + "/metrics.json"));
+}
+
 TEST(Serve, RejectsMalformedInput) {
   std::istringstream in(
       "{\"cmd\":\"bogus\"}\n"
